@@ -56,7 +56,7 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -70,7 +70,7 @@ struct Line {
 /// lookup touches one contiguous cache-resident slice; set selection is a
 /// shift-and-mask when the geometry is a power of two (it always is for
 /// the paper's Table IV hierarchies), with a modulo fallback otherwise.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     cfg: CacheConfig,
     lines: Vec<Line>,
@@ -92,22 +92,43 @@ impl Cache {
     /// inconsistent.
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
+        let mut c = Self {
+            lines: Vec::new(),
+            assoc: 0,
+            nsets: 0,
+            line_shift: 0,
+            set_mask: None,
+            cfg,
+            tick: 0,
+            stats: CacheStats::default(),
+        };
+        c.reset(cfg);
+        c
+    }
+
+    /// Empties the cache in place under a (possibly new) geometry: the
+    /// result equals [`Cache::new`]`(cfg)`, but the tag array's allocation
+    /// is reused, so resetting to the same geometry allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// As [`Cache::new`].
+    pub fn reset(&mut self, cfg: CacheConfig) {
         assert!(
             cfg.line.is_power_of_two(),
             "line size must be a power of two"
         );
         assert!(cfg.sets() > 0, "cache too small for its line size/assoc");
         let nsets = cfg.sets();
-        Self {
-            lines: vec![Line::default(); nsets * cfg.assoc],
-            assoc: cfg.assoc,
-            nsets,
-            line_shift: cfg.line.trailing_zeros(),
-            set_mask: nsets.is_power_of_two().then(|| nsets as u64 - 1),
-            cfg,
-            tick: 0,
-            stats: CacheStats::default(),
-        }
+        self.lines.clear();
+        self.lines.resize(nsets * cfg.assoc, Line::default());
+        self.assoc = cfg.assoc;
+        self.nsets = nsets;
+        self.line_shift = cfg.line.trailing_zeros();
+        self.set_mask = nsets.is_power_of_two().then(|| nsets as u64 - 1);
+        self.cfg = cfg;
+        self.tick = 0;
+        self.stats = CacheStats::default();
     }
 
     /// The cache geometry.
@@ -253,6 +274,30 @@ mod tests {
         c.access(way_stride, false);
         c.access(2 * way_stride, false); // evicts dirty line 0
         assert_eq!(c.stats().writebacks, 1);
+    }
+
+    #[test]
+    fn reset_equals_new_after_use_and_on_a_new_geometry() {
+        let mut c = small();
+        for a in (0..4096).step_by(24) {
+            c.access(a, a % 3 == 0);
+        }
+        c.invalidate(0x40);
+        let cfg = *c.config();
+        c.reset(cfg);
+        assert_eq!(c, Cache::new(cfg));
+
+        // Different geometry: more sets, fewer ways, longer lines.
+        let other = CacheConfig {
+            size: 4096,
+            assoc: 1,
+            line: 64,
+            ..cfg
+        };
+        c.access(0x100, true);
+        c.reset(other);
+        assert_eq!(c, Cache::new(other));
+        assert!(!c.access(0x100, false), "reset cache is cold");
     }
 
     #[test]

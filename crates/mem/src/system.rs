@@ -78,7 +78,7 @@ pub struct MemTimingStats {
 /// All methods take the current cycle (`now`) and return the cycle at
 /// which the requested data is available; port conflicts push the start
 /// time back.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemSystem {
     cfg: MemConfig,
     l1: Cache,
@@ -100,6 +100,19 @@ impl MemSystem {
             cfg,
             stats: MemTimingStats::default(),
         }
+    }
+
+    /// Returns the hierarchy to its cold state under a (possibly new)
+    /// configuration.  Equals [`MemSystem::new`]`(cfg)`, reusing the tag
+    /// arrays and port table instead of reallocating them.
+    pub fn reset(&mut self, cfg: MemConfig) {
+        self.l1.reset(cfg.l1);
+        self.l2.reset(cfg.l2);
+        self.l1_port_free.clear();
+        self.l1_port_free.resize(cfg.l1.ports, 0);
+        self.l2_port_free = 0;
+        self.cfg = cfg;
+        self.stats = MemTimingStats::default();
     }
 
     /// The configuration in use.
@@ -292,6 +305,31 @@ mod tests {
         // Following scalar access misses L1 again.
         let t = m.scalar_access(1200, 0x2000, 8, false);
         assert!(t >= 1200 + 3 + 12, "must refetch from L2: {t}");
+    }
+
+    #[test]
+    fn reset_equals_new_after_use_and_on_a_new_config() {
+        let cfg = MemConfig::paper(2, true);
+        let mut m = MemSystem::new(cfg);
+        let _ = m.scalar_access(0, 0x2000, 8, true);
+        let _ = m.vector_access(10, &acc(0x2000, 16, 16, 16, true));
+        let _ = m.vector_access(20, &acc(0x8000, 8, 16, 800, false));
+        m.reset(cfg);
+        assert_eq!(m, MemSystem::new(cfg));
+
+        // An L2 port width, L1 geometry and port count change.
+        let mut other = MemConfig::paper(8, false);
+        other.l2.port_width = 8;
+        other.l1.size = 8 * 1024;
+        other.l1.assoc = 2;
+        other.l1.line = 64;
+        let _ = m.scalar_access(0, 0x40, 8, false);
+        m.reset(other);
+        assert_eq!(m, MemSystem::new(other));
+        // And back to the first, through the reused buffers.
+        let _ = m.vector_access(0, &acc(0, 4, 16, 16, false));
+        m.reset(cfg);
+        assert_eq!(m, MemSystem::new(cfg));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 /// A gshare predictor: global history XOR-indexed into a table of 2-bit
 /// saturating counters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Gshare {
     table: Vec<u8>,
     history: u64,
@@ -14,12 +14,24 @@ impl Gshare {
     /// of two).
     #[must_use]
     pub fn new(entries: usize) -> Self {
-        let n = entries.next_power_of_two().max(16);
-        Self {
-            table: vec![1; n], // weakly not-taken
+        let mut p = Self {
+            table: Vec::new(),
             history: 0,
-            mask: (n - 1) as u64,
-        }
+            mask: 0,
+        };
+        p.reset(entries);
+        p
+    }
+
+    /// Returns the predictor to its initial state with `entries`
+    /// counters.  Equals [`Gshare::new`]`(entries)`, reusing the counter
+    /// table's allocation.
+    pub fn reset(&mut self, entries: usize) {
+        let n = entries.next_power_of_two().max(16);
+        self.table.clear();
+        self.table.resize(n, 1); // weakly not-taken
+        self.history = 0;
+        self.mask = (n - 1) as u64;
     }
 
     fn index(&self, pc: u32) -> usize {
@@ -63,6 +75,21 @@ mod tests {
             p.update(pc, false);
         }
         assert!(!p.predict(pc));
+    }
+
+    #[test]
+    fn reset_equals_new_after_use_and_on_a_new_size() {
+        let mut p = Gshare::new(1024);
+        for i in 0..64 {
+            p.update(i * 4, i % 3 != 0);
+        }
+        p.reset(1024);
+        assert_eq!(p, Gshare::new(1024));
+        p.update(0x40, true);
+        p.reset(4096);
+        assert_eq!(p, Gshare::new(4096));
+        p.reset(3);
+        assert_eq!(p, Gshare::new(3), "sizes still round up to at least 16");
     }
 
     #[test]

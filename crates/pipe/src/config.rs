@@ -212,6 +212,99 @@ impl PipeConfig {
         }
         Ok(())
     }
+
+    /// Largest window, physical register file or predictor table the
+    /// model accepts.  These size per-pipeline buffers, so the cap bounds
+    /// a cell's memory.
+    pub const MAX_ENTRIES: usize = 1 << 20;
+    /// Largest cache the model accepts, in bytes (bounds the tag arrays).
+    pub const MAX_CACHE_BYTES: usize = 1 << 26;
+    /// Largest latency or penalty the model accepts, in cycles.
+    pub const MAX_LATENCY: u64 = 1 << 20;
+
+    /// Checks that the model can run this configuration: without it an
+    /// out-of-range knob hangs the pipeline (an issue count of 256 wraps
+    /// the ring's `u8` limit to 0, so no slot is ever free) or panics it
+    /// (an empty FU pool or ROB, a zero lane count, a non-power-of-two
+    /// line, a cache with no set).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first out-of-range parameter.
+    pub fn validate(&self) -> Result<(), String> {
+        fn within<T: PartialOrd + std::fmt::Display>(
+            key: &str,
+            v: T,
+            lo: T,
+            hi: T,
+        ) -> Result<(), String> {
+            if lo <= v && v <= hi {
+                Ok(())
+            } else {
+                Err(format!("`{key}` = {v} is outside {lo}..={hi}"))
+            }
+        }
+        // Issue counts become `u8` per-cycle limits in the resource ring
+        // (256 would wrap to 0); widths and unit pools must be non-empty.
+        for (key, v) in [
+            ("way", self.way),
+            ("int_fus", self.int_fus),
+            ("fp_fus", self.fp_fus),
+            ("simd_issue", self.simd_issue),
+            ("simd_fus", self.simd_fus),
+            ("mem_fus", self.mem_fus),
+            ("lanes", self.lanes),
+            ("l1.ports", self.mem.l1.ports),
+        ] {
+            within(key, v, 1, 255)?;
+        }
+        for (key, v) in [
+            ("rob", self.rob),
+            ("iq", self.iq),
+            ("phys_int", self.phys_int),
+            ("phys_fp", self.phys_fp),
+            ("phys_simd", self.phys_simd),
+            ("bpred_entries", self.bpred_entries),
+        ] {
+            within(key, v, 1, Self::MAX_ENTRIES)?;
+        }
+        for (key, v) in [
+            ("frontend_depth", self.frontend_depth),
+            ("redirect_penalty", self.redirect_penalty),
+            ("l1.latency", self.mem.l1.latency),
+            ("l2.latency", self.mem.l2.latency),
+            ("mem.latency", self.mem.mem_latency),
+            ("mem.pipeline", self.mem.mem_pipeline),
+        ] {
+            within(key, v, 0, Self::MAX_LATENCY)?;
+        }
+        let (l1, l2) = (&self.mem.l1, &self.mem.l2);
+        for (key, v) in [
+            ("l1.size", l1.size),
+            ("l2.size", l2.size),
+            ("l1.port_width", l1.port_width),
+            ("l2.port_width", l2.port_width),
+        ] {
+            within(key, v, 1, Self::MAX_CACHE_BYTES)?;
+        }
+        for (level, c) in [("l1", l1), ("l2", l2)] {
+            if !c.line.is_power_of_two() || c.line > c.size {
+                return Err(format!(
+                    "`{level}.line` = {} must be a power of two no larger than `{level}.size`",
+                    c.line
+                ));
+            }
+            // At least one set: `size / (line × assoc) ≥ 1`.
+            let max_assoc = c.size / c.line;
+            if c.assoc == 0 || c.assoc > max_assoc {
+                return Err(format!(
+                    "`{level}.assoc` = {} is outside 1..={max_assoc} (at least one set)",
+                    c.assoc
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -252,6 +345,50 @@ mod tests {
         assert_eq!(c.lanes, 7);
         assert_eq!(c.mem.l2.port_width, 7);
         assert_eq!(c.mem.mem_pipeline, 7);
+    }
+
+    #[test]
+    fn paper_configs_validate() {
+        for way in [2, 4, 8] {
+            for ext in Ext::ALL {
+                PipeConfig::paper(way, ext)
+                    .validate()
+                    .unwrap_or_else(|e| panic!("{way}-way {ext}: {e}"));
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_knobs_are_rejected_by_name() {
+        for (key, value) in [
+            ("int_fus", 256),
+            ("int_fus", 0),
+            ("simd_issue", 300),
+            ("simd_fus", 0),
+            ("lanes", 0),
+            ("rob", 0),
+            ("iq", 0),
+            ("rob", 1 << 40),
+            ("bpred_entries", 1 << 40),
+            ("l1.line", 0),
+            ("l1.line", 48),
+            ("l1.assoc", 0),
+            ("l1.assoc", 1 << 20),
+            ("l2.size", 1 << 40),
+            ("l2.port_width", 0),
+            ("l1.ports", 0),
+            ("mem.latency", u64::MAX),
+        ] {
+            let mut c = PipeConfig::paper(2, Ext::Vmmx128);
+            c.set(key, value).expect("known key");
+            let err = c.validate().expect_err(key);
+            assert!(err.contains(key), "{key}={value}: {err}");
+        }
+        // The edges of the ranges are accepted.
+        let mut c = PipeConfig::paper(2, Ext::Mmx64);
+        c.set("int_fus", 255).expect("known key");
+        c.set("l1.assoc", 1024).expect("known key"); // fully associative
+        c.validate().expect("in range");
     }
 
     #[test]

@@ -20,8 +20,17 @@ const RING: usize = 1 << 14;
 /// workspace top out at 4 MiB of memory (`1 << 22` bytes), i.e. `1 << 17`
 /// 32-byte lines; doubling that leaves headroom, and larger addresses wrap
 /// (aliasing only ever *delays* a load, conservatively, and stays
-/// deterministic).
+/// deterministic).  Each 8-byte slot packs a store completion time (low
+/// [`STORE_TIME_BITS`]) with the epoch it was written in (high 16 bits),
+/// so a reset or a cleanup retires every slot by opening a new epoch
+/// instead of rewriting the 2 MB table.
 const STORE_LINE_SLOTS: usize = 1 << 18;
+/// Width of a store-line slot's time field.  Completion times saturate at
+/// `2^48 - 1` cycles (days of simulated time at 1 GHz).
+const STORE_TIME_BITS: u32 = 48;
+const STORE_TIME_MASK: u64 = (1 << STORE_TIME_BITS) - 1;
+/// Committed instructions between two store-line cleanups.
+const CLEANUP_INTERVAL: u64 = 1 << 16;
 const CLS_INT: usize = 0;
 const CLS_FP: usize = 1;
 const CLS_MEM: usize = 2;
@@ -105,7 +114,13 @@ pub struct Pipeline {
     int_fu: Vec<u64>,
     fp_fu: Vec<u64>,
     simd_fu: Vec<u64>,
+    /// Cycle-bucketed issue-slot counts, each entry tagged with
+    /// `cycle + ring_base`; an entry whose tag differs is free.
     ring: Vec<(u64, [u8; 5])>,
+    /// Tag offset of the current cell.  [`Pipeline::reset`] moves it past
+    /// every tag the previous cell wrote, which retires the whole ring
+    /// without touching it.
+    ring_base: u64,
     limits: [u8; 5],
     next_fetch: u64,
     fetch_used: usize,
@@ -116,9 +131,18 @@ pub struct Pipeline {
     rename: [VecDeque<u64>; 3],
     rename_caps: [usize; 3],
     /// Direct-mapped completion times of in-flight stores, indexed by
-    /// 32-byte line index (the last per-commit hash on the memory path).
-    /// Slot 0 means "no store recorded", exactly like a hash miss did.
+    /// 32-byte line index (the last per-commit hash on the memory path),
+    /// each tagged with its epoch (see [`STORE_LINE_SLOTS`]).  A slot
+    /// reading 0 means "no store recorded", exactly like a hash miss did.
     store_lines: Box<[u64]>,
+    /// Epoch stamped on store-line writes; every reset and cleanup opens
+    /// a new one.  Epoch 0 is never current, so a zeroed slot is empty.
+    epoch: u16,
+    /// Epoch the current cell started in: older slots read as 0.
+    cell_epoch: u16,
+    /// Commit cursor at this cell's latest cleanup: slots written before
+    /// that cleanup read as 0 when their time is below it.
+    clean_cursor: u64,
     region_cycles: [u64; 2],
     last_commit: u64,
     instrs: u64,
@@ -136,13 +160,13 @@ pub struct Pipeline {
 /// cycle-bucketed resource ring.  A free function over the ring fields so
 /// [`Pipeline::fu_issue`] can hold a mutable borrow of an FU pool across
 /// the call.
-fn slot(ring: &mut [(u64, [u8; 5])], limits: &[u8; 5], cls: usize, from: u64) -> u64 {
+fn slot(ring: &mut [(u64, [u8; 5])], base: u64, limits: &[u8; 5], cls: usize, from: u64) -> u64 {
     let lim = limits[cls];
     let mut c = from;
     loop {
         let e = &mut ring[(c as usize) & (RING - 1)];
-        if e.0 != c {
-            *e = (c, [0; 5]);
+        if e.0 != c + base {
+            *e = (c + base, [0; 5]);
         }
         if e.1[cls] < lim {
             e.1[cls] += 1;
@@ -164,19 +188,43 @@ fn line_keys(acc: &MemAccess) -> impl Iterator<Item = u64> + '_ {
     })
 }
 
+/// Per-class issue limits of the resource ring (`int`, `fp`, `mem`,
+/// `simd`, vector memory).  [`PipeConfig::validate`] keeps every count in
+/// `1..=255`.
+fn issue_limits(cfg: &PipeConfig) -> [u8; 5] {
+    [
+        cfg.int_fus as u8,
+        cfg.fp_fus as u8,
+        cfg.mem_fus as u8,
+        cfg.simd_issue as u8,
+        1,
+    ]
+}
+
+/// In-flight budgets of the integer, FP and SIMD rename FIFOs.
+fn rename_caps(cfg: &PipeConfig) -> [usize; 3] {
+    [
+        cfg.phys_int.saturating_sub(simdsim_isa::NUM_IREGS).max(1),
+        cfg.phys_fp.saturating_sub(simdsim_isa::NUM_FREGS).max(1),
+        cfg.simd_inflight(),
+    ]
+}
+
 impl Pipeline {
     /// Creates a pipeline in its reset state.
     #[must_use]
     pub fn new(cfg: PipeConfig) -> Self {
-        let mut p = Self {
+        Self {
             mem: MemSystem::new(cfg.mem),
             bpred: Gshare::new(cfg.bpred_entries),
             reg_ready: Scoreboard::new(),
-            int_fu: Vec::new(),
-            fp_fu: Vec::new(),
-            simd_fu: Vec::new(),
-            ring: vec![(u64::MAX, [0; 5]); RING],
-            limits: [0; 5],
+            int_fu: vec![0; cfg.int_fus],
+            fp_fu: vec![0; cfg.fp_fus],
+            simd_fu: vec![0; cfg.simd_fus],
+            // Tag 0 never matches: tags start at `ring_base` = 1.
+            ring: vec![(0, [0; 5]); RING],
+            ring_base: 1,
+            limits: issue_limits(&cfg),
             next_fetch: 0,
             fetch_used: 0,
             rob: VecDeque::with_capacity(cfg.rob + 1),
@@ -184,20 +232,21 @@ impl Pipeline {
             commit_cursor: 0,
             commit_used: 0,
             rename: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-            rename_caps: [0; 3],
+            rename_caps: rename_caps(&cfg),
             store_lines: vec![0; STORE_LINE_SLOTS].into_boxed_slice(),
+            epoch: 1,
+            cell_epoch: 1,
+            clean_cursor: 0,
             region_cycles: [0; 2],
             last_commit: 0,
             instrs: 0,
             counts: ClassCounts::default(),
             branches: 0,
             mispredicts: 0,
-            cleanup_at: 1 << 16,
+            cleanup_at: CLEANUP_INTERVAL,
             prof: None,
             cfg,
-        };
-        p.reset(cfg);
-        p
+        }
     }
 
     /// Enables or disables cycle accounting.  Profiling only *observes*
@@ -212,24 +261,27 @@ impl Pipeline {
     }
 
     /// Returns the pipeline to its reset state under a (possibly new)
-    /// configuration, reusing the large buffers — the 16K-entry resource
-    /// ring and the store-line table — so a pooled pipeline replaying many
-    /// cells allocates nothing per cell.
+    /// configuration; the next run equals one on
+    /// [`Pipeline::new`]`(cfg)`.  The cost does not depend on the
+    /// 16K-entry resource ring or the store-line table: both are retired
+    /// by moving a tag (`ring_base`, the store-line epoch) rather than
+    /// rewritten.  The caches and the predictor are emptied in place, so a
+    /// pooled pipeline replaying many cells allocates nothing per cell.
     pub fn reset(&mut self, cfg: PipeConfig) {
-        self.limits = [
-            cfg.int_fus as u8,
-            cfg.fp_fus as u8,
-            cfg.mem_fus as u8,
-            cfg.simd_issue as u8,
-            1,
-        ];
-        self.rename_caps = [
-            cfg.phys_int.saturating_sub(simdsim_isa::NUM_IREGS).max(1),
-            cfg.phys_fp.saturating_sub(simdsim_isa::NUM_FREGS).max(1),
-            cfg.simd_inflight(),
-        ];
-        self.mem = MemSystem::new(cfg.mem);
-        self.bpred = Gshare::new(cfg.bpred_entries);
+        // Every claimed ring cycle precedes its instruction's commit, so
+        // all tags written so far are below the new base.
+        self.ring_base += self.commit_cursor + 1;
+        if self.epoch == u16::MAX {
+            self.store_lines.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.cell_epoch = self.epoch;
+        self.clean_cursor = 0;
+        self.limits = issue_limits(&cfg);
+        self.rename_caps = rename_caps(&cfg);
+        self.mem.reset(cfg.mem);
+        self.bpred.reset(cfg.bpred_entries);
         self.reg_ready = Scoreboard::new();
         self.int_fu.clear();
         self.int_fu.resize(cfg.int_fus, 0);
@@ -237,7 +289,6 @@ impl Pipeline {
         self.fp_fu.resize(cfg.fp_fus, 0);
         self.simd_fu.clear();
         self.simd_fu.resize(cfg.simd_fus, 0);
-        self.ring.fill((u64::MAX, [0; 5]));
         self.next_fetch = 0;
         self.fetch_used = 0;
         self.rob.clear();
@@ -247,18 +298,56 @@ impl Pipeline {
         for fifo in &mut self.rename {
             fifo.clear();
         }
-        self.store_lines.fill(0);
         self.region_cycles = [0; 2];
         self.last_commit = 0;
         self.instrs = 0;
         self.counts = ClassCounts::default();
         self.branches = 0;
         self.mispredicts = 0;
-        self.cleanup_at = 1 << 16;
+        self.cleanup_at = CLEANUP_INTERVAL;
         if let Some(p) = self.prof.as_deref_mut() {
             p.reset();
         }
         self.cfg = cfg;
+    }
+
+    /// The periodic store-line cleanup (same policy the old `HashMap`
+    /// scoreboard had): entries already behind the commit cursor read as
+    /// "never stored" from here on.  It records the cursor and opens a
+    /// new epoch, and [`Pipeline::store_time`] applies it lazily; the
+    /// cursor never moves backwards, so checking the latest cleanup equals
+    /// zeroing eagerly at every one.
+    fn cleanup_store_lines(&mut self) {
+        self.clean_cursor = self.commit_cursor;
+        if self.epoch < u16::MAX {
+            self.epoch += 1;
+            return;
+        }
+        // Epoch space used up mid-cell: apply the cleanup eagerly once and
+        // retag the survivors into a fresh epoch space.
+        for i in 0..STORE_LINE_SLOTS {
+            let raw = self.store_lines[i];
+            let t = raw & STORE_TIME_MASK;
+            let live = (raw >> STORE_TIME_BITS) as u16 >= self.cell_epoch && t >= self.clean_cursor;
+            self.store_lines[i] = if live { t | (1 << STORE_TIME_BITS) } else { 0 };
+        }
+        self.epoch = 1;
+        self.cell_epoch = 1;
+    }
+
+    /// The completion time store-line slot `idx` holds for this cell: its
+    /// time when written in the current epoch, or earlier in this cell and
+    /// not behind the latest cleanup's cursor; otherwise 0.
+    #[inline]
+    fn store_time(&self, idx: usize) -> u64 {
+        let raw = self.store_lines[idx];
+        let t = raw & STORE_TIME_MASK;
+        let e = (raw >> STORE_TIME_BITS) as u16;
+        if e == self.epoch || (e >= self.cell_epoch && t >= self.clean_cursor) {
+            t
+        } else {
+            0
+        }
     }
 
     fn fu_issue(&mut self, pool: usize, cls: usize, ready: u64, occupancy: u64) -> u64 {
@@ -276,7 +365,7 @@ impl Pipeline {
             .map(|(i, f)| (i, *f))
             .expect("non-empty FU pool");
         let candidate = ready.max(free);
-        let issue = slot(&mut self.ring, &self.limits, cls, candidate);
+        let issue = slot(&mut self.ring, self.ring_base, &self.limits, cls, candidate);
         pool_vec[idx] = issue + occupancy;
         issue
     }
@@ -374,7 +463,7 @@ impl Pipeline {
             }
             FuKind::Mem => {
                 let acc = di.mem.expect("memory instruction carries an access");
-                let issue = slot(&mut self.ring, &self.limits, CLS_MEM, ready);
+                let issue = slot(&mut self.ring, self.ring_base, &self.limits, CLS_MEM, ready);
                 let start = self.order_against_stores(issue, &acc);
                 let done =
                     self.mem
@@ -390,7 +479,13 @@ impl Pipeline {
             }
             FuKind::VecMem => {
                 let acc = di.mem.expect("vector memory instruction carries an access");
-                let issue = slot(&mut self.ring, &self.limits, CLS_VMEM, ready);
+                let issue = slot(
+                    &mut self.ring,
+                    self.ring_base,
+                    &self.limits,
+                    CLS_VMEM,
+                    ready,
+                );
                 let start = self.order_against_stores(issue, &acc);
                 let done = self.mem.vector_access(start, &acc);
                 self.record_store(&acc, done);
@@ -564,17 +659,8 @@ impl Pipeline {
         }
 
         if self.instrs >= self.cleanup_at {
-            // Same policy the old HashMap scoreboard had: drop store
-            // entries already behind the commit cursor.  A zeroed slot is
-            // indistinguishable from "never stored", which is exactly what
-            // `retain` produced.
-            let cursor = self.commit_cursor;
-            for t in self.store_lines.iter_mut() {
-                if *t < cursor {
-                    *t = 0;
-                }
-            }
-            self.cleanup_at = self.instrs + (1 << 16);
+            self.cleanup_store_lines();
+            self.cleanup_at = self.instrs + CLEANUP_INTERVAL;
         }
     }
 
@@ -629,7 +715,7 @@ impl Pipeline {
     fn order_against_stores(&self, issue: u64, acc: &MemAccess) -> u64 {
         let mut start = issue;
         for key in line_keys(acc) {
-            start = start.max(self.store_lines[(key as usize) & (STORE_LINE_SLOTS - 1)]);
+            start = start.max(self.store_time((key as usize) & (STORE_LINE_SLOTS - 1)));
         }
         start
     }
@@ -638,9 +724,11 @@ impl Pipeline {
         if !acc.store {
             return;
         }
+        let tag = u64::from(self.epoch) << STORE_TIME_BITS;
         for key in line_keys(acc) {
-            let t = &mut self.store_lines[(key as usize) & (STORE_LINE_SLOTS - 1)];
-            *t = (*t).max(done);
+            let idx = (key as usize) & (STORE_LINE_SLOTS - 1);
+            let t = self.store_time(idx).max(done).min(STORE_TIME_MASK);
+            self.store_lines[idx] = t | tag;
         }
     }
 
@@ -717,20 +805,32 @@ impl TraceSink for Pipeline {
 
 thread_local! {
 
-    /// Per-thread scratch machine reused across [`simulate`] calls, so a
-    /// sweep worker replaying many cells resets one resident memory image
-    /// instead of cloning a fresh multi-megabyte machine per cell.
+    /// Per-thread scratch machine behind [`simulate_decoded`], which must
+    /// leave its input machine untouched: each call copies the input into
+    /// this one resident image ([`Machine::reset_from`]) instead of
+    /// cloning a fresh multi-megabyte machine.
     static SCRATCH: RefCell<Option<Machine>> = const { RefCell::new(None) };
 
-    /// Per-thread pooled [`Pipeline`] reused across simulations: the
-    /// 16K-entry resource ring and the store-line table dominate a
-    /// pipeline's footprint, and [`Pipeline::reset`] recycles both.
+    /// Per-thread pooled [`Pipeline`] behind every `simulate*` entry
+    /// point.  [`Pipeline::reset`] retires its resource ring and
+    /// store-line table by moving tags, so a pooled run's fixed cost does
+    /// not grow with those tables.
     static PIPE_POOL: RefCell<Option<Pipeline>> = const { RefCell::new(None) };
 }
 
-/// Streams `machine`'s decoded trace through the per-thread pooled
-/// pipeline configured by `cfg`.
-fn run_pooled(
+/// Runs the decoded program on `machine` **in place** (its registers and
+/// memory are consumed as the run's working state), streaming the dynamic
+/// trace through the per-thread pooled [`Pipeline`] reset to `cfg`.  With
+/// `profile` the run also returns its [`CpiStack`].
+///
+/// This is the entry point for callers that own a machine they will not
+/// reuse, such as the sweep engine running a freshly built workload; the
+/// other `simulate*` functions copy their input machine first.
+///
+/// # Errors
+///
+/// Propagates emulation errors ([`EmuError`]).
+pub fn simulate_in(
     machine: &mut Machine,
     dec: &Decoded,
     cfg: &PipeConfig,
@@ -756,10 +856,6 @@ fn run_pooled(
 /// untouched), streaming the dynamic trace through a [`Pipeline`]
 /// configured by `cfg`.
 ///
-/// The working state lives in a per-thread scratch [`Machine`] that is
-/// reset from `machine` via [`Machine::reset_from`], so repeated calls on
-/// one thread reuse the same memory image allocation.
-///
 /// Returns the architectural statistics (from the emulator) and the
 /// timing statistics (from the pipeline).
 ///
@@ -776,8 +872,7 @@ pub fn simulate(
 }
 
 /// [`simulate`] for callers that already hold the program's predecoded
-/// table (e.g. the sweep engine's per-worker decode memo), skipping the
-/// per-call [`Program::decode`].
+/// table, skipping the per-call [`Program::decode`].
 ///
 /// # Errors
 ///
@@ -811,6 +906,7 @@ pub fn simulate_decoded_profiled(
     Ok((rs, t, stack.expect("profiling was enabled")))
 }
 
+/// [`simulate_in`] on the per-thread scratch copy of `machine`.
 fn scratch_run(
     dec: &Decoded,
     machine: &Machine,
@@ -827,27 +923,8 @@ fn scratch_run(
             }
             None => slot.insert(machine.clone()),
         };
-        run_pooled(m, dec, cfg, max_instrs, profile)
+        simulate_in(m, dec, cfg, max_instrs, profile)
     })
-}
-
-/// Runs `program` on `machine` **in place** (its registers and memory are
-/// consumed as the run's working state), streaming the dynamic trace
-/// through a [`Pipeline`] configured by `cfg`.  Callers that manage their
-/// own machine reuse ([`Machine::reset_from`]) use this directly;
-/// [`simulate`] wraps it with a per-thread scratch machine.
-///
-/// # Errors
-///
-/// Propagates emulation errors ([`EmuError`]).
-pub fn simulate_in(
-    machine: &mut Machine,
-    program: &Program,
-    cfg: &PipeConfig,
-    max_instrs: u64,
-) -> Result<(RunStats, PipeStats), EmuError> {
-    let (rs, t, _) = run_pooled(machine, &program.decode(), cfg, max_instrs, false)?;
-    Ok((rs, t))
 }
 
 #[cfg(test)]
@@ -1233,6 +1310,50 @@ mod tests {
             stack.stall(StallCause::Memory, 0) > 0,
             "main-memory misses must surface as Memory stalls"
         );
+    }
+
+    /// Stores that miss the L1, each followed by a load of the line the
+    /// previous iteration stored: the stores run ahead of commit, so every
+    /// cleanup leaves store lines still in flight that the next loads must
+    /// wait for.  About 200K instructions, so a run crosses three
+    /// 64K-instruction store-line cleanups.
+    fn store_load_loop() -> Program {
+        let mut a = Asm::new();
+        let (x, i, t, p) = (a.ireg(), a.ireg(), a.ireg(), a.ireg());
+        a.li(x, 0x1234_5678);
+        a.li(i, 0);
+        a.for_loop(i, 30_000, |a| {
+            a.and(p, i, 0x1fff);
+            a.slli(p, p, 6);
+            a.sd(x, p, 4096);
+            a.ld(t, p, 4096 - 64);
+            a.addi(x, x, 1);
+        });
+        a.halt();
+        a.finish()
+    }
+
+    fn run_with(pipe: &mut Pipeline, prog: &Program) -> (PipeStats, CpiStack) {
+        let mut m = Machine::new(pipe.cfg.ext, 1 << 20);
+        pipe.set_profiling(true);
+        m.run_decoded(&prog.decode(), pipe, 10_000_000).unwrap();
+        (pipe.stats(), pipe.cpi_stack().expect("profiling enabled"))
+    }
+
+    #[test]
+    fn store_epoch_wrap_mid_cell_matches_a_fresh_pipeline() {
+        let cfg = PipeConfig::paper(2, Ext::Mmx64);
+        let prog = store_load_loop();
+        let fresh = run_with(&mut Pipeline::new(cfg), &prog);
+        assert!(fresh.0.instrs > 3 * CLEANUP_INTERVAL);
+
+        // Two epochs short of the end: the third cleanup wraps the epoch
+        // space mid-cell and settles the table eagerly.
+        let mut pipe = Pipeline::new(cfg);
+        pipe.epoch = u16::MAX - 2;
+        pipe.cell_epoch = pipe.epoch;
+        assert_eq!(run_with(&mut pipe, &prog), fresh);
+        assert_eq!(pipe.epoch, 1, "the run wrapped the epoch space");
     }
 
     #[test]

@@ -764,6 +764,11 @@ fn submit_one(
         // validate() established exactly-one-of.
         _ => unreachable!("validated request has exactly one source"),
     };
+    // Resolve every configuration up front: an override the model cannot
+    // run is the caller's error, answered before anything is queued.
+    scenario
+        .configs()
+        .map_err(|e| ApiError::new(ErrorCode::BadRequest, format!("invalid scenario: {e}")))?;
 
     let scenario_name = scenario.name.clone();
     let trace = trace.unwrap_or_else(|| TraceId::generate().to_hex());

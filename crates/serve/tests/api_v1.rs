@@ -364,6 +364,35 @@ fn batch_submit_has_typed_partial_failure() {
     server.shutdown();
 }
 
+/// An inline scenario whose override the model cannot run (`int_fus=256`
+/// once hung a worker forever) is a typed 400 at submit: nothing is queued.
+#[test]
+fn out_of_range_inline_override_is_a_400_before_queueing() {
+    let server = start_server(|_| {});
+    let mut c = connect(&server);
+    let bad = Scenario::new("bad-fus", "issue limit out of range")
+        .kernels(["idct"])
+        .exts([simdsim_isa::Ext::Mmx64])
+        .ways([2])
+        .override_axis("int_fus", [256]);
+    let start = std::time::Instant::now();
+    match c.submit(&SweepRequest::inline(bad)) {
+        Err(ClientError::Api { status, error }) => {
+            assert_eq!(status, 400);
+            assert_eq!(error.code, ErrorCode::BadRequest);
+            assert!(error.error.contains("int_fus"), "{}", error.error);
+        }
+        other => panic!("out-of-range override accepted: {other:?}"),
+    }
+    assert!(
+        start.elapsed() < Duration::from_secs(10),
+        "rejected quickly"
+    );
+    let jobs = c.list().expect("job listing");
+    assert!(jobs.jobs.is_empty(), "nothing was queued: {jobs:?}");
+    server.shutdown();
+}
+
 /// Trace propagation through `POST /v1/sweeps:batch`: without a caller
 /// header every accepted item gets its own server-generated trace; with
 /// an `X-Simdsim-Trace-Id` header the whole batch — one client action —

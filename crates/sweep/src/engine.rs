@@ -9,7 +9,7 @@ use crate::store::{cell_key, CacheKey, ResultStore, StoredCell};
 use serde::{Deserialize, Serialize};
 use simdsim_isa::{ClassCounts, Decoded};
 use simdsim_mem::{CacheStats, MemTimingStats};
-use simdsim_pipe::{simulate_decoded, simulate_decoded_profiled, CpiStack, PipeConfig};
+use simdsim_pipe::{simulate_in, CpiStack, PipeConfig};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -610,27 +610,24 @@ fn memo_decode(cell: &Cell, program: &simdsim_isa::Program) -> Rc<Decoded> {
 
 /// Simulates one cell on its resolved configuration, measuring the
 /// wall-clock time of the simulation itself (workload build included —
-/// it is part of the cost a cache hit saves).
+/// it is part of the cost a cache hit saves).  The cell owns its freshly
+/// built machine, so the simulation runs on it in place
+/// ([`simulate_in`], through the per-thread pooled pipeline) with no copy
+/// of the memory image.
 pub(crate) fn exec_cell(cell: &Cell, cfg: &PipeConfig, profile: bool) -> CellExecution {
     let start = Instant::now();
     let mut phases = CellPhases::default();
     let result = (|| {
         let decode = Instant::now();
-        let built = cell
+        let mut built = cell
             .workload
             .build(cell.ext)
             .map_err(|m| SweepError::new(cell, m))?;
         let dec = memo_decode(cell, &built.program);
         phases.decode_ms = decode.elapsed().as_secs_f64() * 1.0e3;
         let simulate = Instant::now();
-        let (rs, t, stack) = if profile {
-            simulate_decoded_profiled(&dec, &built.machine, cfg, cell.instr_limit)
-                .map(|(rs, t, s)| (rs, t, Some(s)))
-        } else {
-            simulate_decoded(&dec, &built.machine, cfg, cell.instr_limit)
-                .map(|(rs, t)| (rs, t, None))
-        }
-        .map_err(|e| SweepError::new(cell, e.to_string()))?;
+        let (rs, t, stack) = simulate_in(&mut built.machine, &dec, cfg, cell.instr_limit, profile)
+            .map_err(|e| SweepError::new(cell, e.to_string()))?;
         phases.simulate_ms = simulate.elapsed().as_secs_f64() * 1.0e3;
         Ok(CellStats {
             cycles: t.cycles,

@@ -248,7 +248,8 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns the message of the first invalid width or override key.
+    /// Returns the message of the first invalid width, override key or
+    /// out-of-range override.
     pub fn configs(&self) -> Result<Vec<PipeConfig>, String> {
         let mut out = Vec::new();
         for o in &self.override_sets() {
@@ -301,7 +302,8 @@ impl Cell {
     ///
     /// # Errors
     ///
-    /// Returns a message for an invalid width or an unknown override key.
+    /// Returns a message for an invalid width, an unknown override key or
+    /// an override outside the model's range ([`PipeConfig::validate`]).
     pub fn config(&self) -> Result<PipeConfig, String> {
         resolve_config(self.way, self.ext, &self.overrides)
     }
@@ -313,6 +315,7 @@ fn resolve_config(way: usize, ext: Ext, overrides: &OverrideSet) -> Result<PipeC
     }
     let mut cfg = PipeConfig::paper(way, ext);
     overrides.apply(&mut cfg)?;
+    cfg.validate()?;
     Ok(cfg)
 }
 
@@ -362,6 +365,13 @@ mod tests {
             .ways([2])
             .override_axis("no-such-knob", [1]);
         assert!(s.expand()[0].config().unwrap_err().contains("no-such-knob"));
+        let s = Scenario::new("b", "bad value")
+            .kernels(["idct"])
+            .exts([Ext::Mmx64])
+            .ways([2])
+            .override_axis("int_fus", [256]);
+        assert!(s.expand()[0].config().unwrap_err().contains("int_fus"));
+        assert!(s.configs().unwrap_err().contains("int_fus"));
     }
 
     #[test]

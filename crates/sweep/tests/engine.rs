@@ -2,7 +2,7 @@
 //! outcomes regardless of worker count, and per-cell failure isolation.
 
 use simdsim_isa::Ext;
-use simdsim_sweep::{run, EngineOptions, Scenario};
+use simdsim_sweep::{execute_cell, run, EngineOptions, Scenario};
 use std::path::PathBuf;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -93,6 +93,32 @@ fn one_bad_cell_does_not_poison_the_sweep() {
     // And the aggregate view names the failing cell.
     let aggregate = report.cells().unwrap_err();
     assert!(aggregate.cell.contains("no-such-kernel"));
+}
+
+/// `int_fus=256` once wrapped the ring's `u8` issue limit to 0 and spun
+/// the pipeline forever; `int_fus=0` panicked on an empty FU pool.  Both
+/// now fail their own cell, in the engine and on the worker path.
+#[test]
+fn out_of_range_override_fails_its_cell_instead_of_hanging() {
+    let scenario = small_scenario().override_axis("int_fus", [256, 2, 0]);
+    let report = run(&scenario, &EngineOptions::default().jobs(2));
+    assert_eq!(report.outcomes.len(), 6);
+    for o in &report.outcomes {
+        let label = o.cell.label();
+        if o.cell.overrides.params[0].value == 2 {
+            assert!(o.stats.is_ok(), "{label}");
+        } else {
+            let err = o.stats.as_ref().expect_err(&label);
+            assert!(err.message.contains("int_fus"), "{err}");
+            assert_eq!(o.wall, std::time::Duration::ZERO, "{label} never ran");
+        }
+    }
+    let worker = execute_cell(&scenario.expand()[0]);
+    assert!(worker
+        .stats
+        .expect_err("rejected")
+        .message
+        .contains("int_fus"));
 }
 
 #[test]

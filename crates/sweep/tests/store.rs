@@ -128,14 +128,21 @@ proptest! {
         changed.overrides = OverrideSet {
             params: vec![Param { key: key_name.to_owned(), value: 256 + delta }],
         };
-        let changed_cfg = changed.config().expect("override applies");
+        // Applied directly rather than through `Cell::config`: values above
+        // 255 are outside the model's range for the FU counts, but the
+        // key derivation must separate every configuration it is given.
+        let resolve = || {
+            let mut cfg = base_cfg;
+            changed.overrides.apply(&mut cfg).map(|()| cfg)
+        };
+        let changed_cfg = resolve().expect("override applies");
         prop_assert_ne!(cell_key(&changed, &changed_cfg), base_key.clone(),
             "key unchanged after overriding {}", key_name);
 
         // The key hashes resolved *content*: the same override applied to
         // the same cell twice produces the same key.
         prop_assert_eq!(cell_key(&changed, &changed_cfg),
-            cell_key(&changed, &changed.config().expect("config resolves again")));
+            cell_key(&changed, &resolve().expect("override applies again")));
     }
 
     /// Workload identity, kind, extension, width and instruction budget

@@ -38,6 +38,12 @@ sweep-smoke:
     grep -q 'cached$' /tmp/simdsim-sweep-second.txt
     ! grep -q 'ran$' /tmp/simdsim-sweep-second.txt
 
+# Run the declared benchmark (the BENCHMARK.json command) on one workload:
+# `just simbench kernel_cells`, or `just simbench fig5_apps 1 25 1` for a
+# traced run.  Workloads: fig5_apps, kernel_cells, service_mix.
+simbench W SEED="1" SECONDS="25" TRACE="0":
+    cargo run --release --quiet --offline --manifest-path simbench/Cargo.toml -- --workload {{W}} --seed {{SEED}} --seconds {{SECONDS}} --trace {{TRACE}}
+
 # The CI conformance smoke: the full differential corpus, a 200-case
 # fuzz run and the linter over every built-in program, via one binary.
 conform *ARGS:
