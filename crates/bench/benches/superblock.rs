@@ -1,14 +1,12 @@
 //! Criterion benchmarks of the superblock execution engine: the fused
 //! emulate+time path (whole blocks scoreboarded from precomputed
-//! dependence edges) against the per-instruction fallback, and the SWAR
-//! sub-word kernels against their per-lane scalar references.
+//! dependence edges) against the per-instruction fallback.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use simdsim::emu::{DynInstr, Machine, TraceSink};
 use simdsim::kernels::{by_name, Variant};
 use simdsim::pipe::{PipeConfig, Pipeline};
-use simdsim_emu::subword::{self, scalar_ref};
-use simdsim_isa::{DecodedBlock, DecodedInstr, Esz, Ext, VOp, VShiftOp};
+use simdsim_isa::{DecodedBlock, DecodedInstr, Ext};
 
 /// A sink that forwards only `push`, so the trait's default `push_block`
 /// replays every block one instruction at a time — the pre-superblock
@@ -79,62 +77,5 @@ fn bench_block_engine(c: &mut Criterion) {
     g.finish();
 }
 
-/// Deterministic packed operands (xorshift — no external RNG crate).
-fn operands(n: usize) -> Vec<(u128, u128)> {
-    let mut x = 0x243f_6a88_85a3_08d3_u64;
-    let mut word = || {
-        let mut w = 0u128;
-        for _ in 0..2 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            w = (w << 64) | u128::from(x);
-        }
-        w
-    };
-    (0..n).map(|_| (word(), word())).collect()
-}
-
-fn bench_swar(c: &mut Criterion) {
-    let mut g = c.benchmark_group("subword-swar");
-    let inputs = operands(1024);
-    g.throughput(Throughput::Elements(inputs.len() as u64));
-    for (name, op) in [
-        ("adds.h", VOp::AddS(Esz::H)),
-        ("avg.b", VOp::Avg(Esz::B)),
-        ("maxs.h", VOp::MaxS(Esz::H)),
-    ] {
-        g.bench_with_input(BenchmarkId::new("swar", name), &inputs, |b, inputs| {
-            b.iter(|| {
-                inputs
-                    .iter()
-                    .fold(0u128, |acc, &(x, y)| acc ^ subword::apply_vop(op, x, y, 16))
-            });
-        });
-        g.bench_with_input(BenchmarkId::new("scalar", name), &inputs, |b, inputs| {
-            b.iter(|| {
-                inputs.iter().fold(0u128, |acc, &(x, y)| {
-                    acc ^ scalar_ref::apply_vop(op, x, y, 16)
-                })
-            });
-        });
-    }
-    g.bench_with_input(BenchmarkId::new("swar", "sll.h"), &inputs, |b, inputs| {
-        b.iter(|| {
-            inputs.iter().fold(0u128, |acc, &(x, _)| {
-                acc ^ subword::apply_shift(VShiftOp::Sll(Esz::H), x, 3, 16)
-            })
-        });
-    });
-    g.bench_with_input(BenchmarkId::new("scalar", "sll.h"), &inputs, |b, inputs| {
-        b.iter(|| {
-            inputs.iter().fold(0u128, |acc, &(x, _)| {
-                acc ^ scalar_ref::apply_shift(VShiftOp::Sll(Esz::H), x, 3, 16)
-            })
-        });
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_block_engine, bench_swar);
+criterion_group!(benches, bench_block_engine);
 criterion_main!(benches);

@@ -4,8 +4,8 @@ use crate::subword;
 use crate::trace::{DynInstr, MemAccess, TraceSink};
 use crate::EmuError;
 use simdsim_isa::{
-    AccOp, AluOp, ClassCounts, Decoded, DecodedInstr, Esz, Ext, FOp, Instr, MOperand, MemSz,
-    Operand2, Program, Region, Sat, VLoc, MAX_BLOCK_LEN, MAX_VL, NO_BLOCK,
+    AluOp, ClassCounts, Decoded, DecodedInstr, Ext, FOp, Instr, MOperand, MemSz, Operand2, Program,
+    Region, VLoc, MAX_BLOCK_LEN, MAX_VL, NO_BLOCK,
 };
 
 /// Architectural statistics of one emulated run.
@@ -916,30 +916,22 @@ impl Machine {
                         ),
                     });
                 }
-                let mut rows = [0u128; MAX_VL];
-                for (r, row) in rows.iter_mut().enumerate().take(n) {
-                    let mut w = 0u128;
-                    for c in 0..n {
-                        let v = subword::get_lane_u(self.mregs[src.index()][c], esz, r);
-                        w = subword::set_lane(w, esz, c, v);
-                    }
-                    *row = w;
-                }
+                let rows = subword::transpose(&self.mregs[src.index()][..n], esz);
                 self.mregs[dst.index()][..n].copy_from_slice(&rows[..n]);
                 stats.element_ops += (n * n) as u64;
             }
             Instr::MAcc { op, acc, a, b } => {
+                let accs = &mut self.accs[acc.index()];
                 for r in 0..self.vl {
-                    let av = self.mregs[a.index()][r];
-                    let bv = self.mregs[b.index()][r];
-                    self.accumulate(op, acc.index(), av, bv);
+                    let (av, bv) = (self.mregs[a.index()][r], self.mregs[b.index()][r]);
+                    subword::accumulate(op, accs, av, bv, width);
                 }
                 stats.element_ops += (width * self.vl) as u64;
             }
             Instr::VAcc { op, acc, a, b } => {
                 let av = self.read_vloc(a);
                 let bv = self.read_vloc(b);
-                self.accumulate(op, acc.index(), av, bv);
+                subword::accumulate(op, &mut self.accs[acc.index()], av, bv, width);
                 stats.element_ops += width as u64;
             }
             Instr::AccSum { rd, acc } => {
@@ -957,54 +949,11 @@ impl Machine {
                 sat,
                 shift,
             } => {
-                let lanes = self.acc_lanes();
-                let n = esz.lanes(width * 8);
-                let mut out = 0u128;
-                for l in 0..lanes.min(n) {
-                    let v = self.accs[acc.index()][l] >> shift;
-                    let r = match sat {
-                        Sat::Wrap => (v as u64) & (u64::MAX >> (64 - esz.bits())),
-                        Sat::Signed => subword::saturate_signed(v, esz),
-                        Sat::Unsigned => subword::saturate_unsigned(v, esz),
-                    };
-                    out = subword::set_lane(out, esz, l, r);
-                }
+                let out = subword::acc_pack(&self.accs[acc.index()], esz, sat, shift, width);
                 self.write_vloc(dst, out);
             }
         }
         Ok(())
-    }
-
-    fn accumulate(&mut self, op: AccOp, acc: usize, a: u128, b: u128) {
-        let width = self.width();
-        match op {
-            AccOp::Sad => {
-                for j in 0..width {
-                    let x = subword::get_lane_u(a, Esz::B, j) as i64;
-                    let y = subword::get_lane_u(b, Esz::B, j) as i64;
-                    self.accs[acc][j / 2] += (x - y).abs();
-                }
-            }
-            AccOp::Ssd => {
-                for j in 0..width {
-                    let x = subword::get_lane_u(a, Esz::B, j) as i64;
-                    let y = subword::get_lane_u(b, Esz::B, j) as i64;
-                    self.accs[acc][j / 2] += (x - y) * (x - y);
-                }
-            }
-            AccOp::Mac => {
-                for j in 0..width / 2 {
-                    let x = subword::get_lane_i(a, Esz::H, j);
-                    let y = subword::get_lane_i(b, Esz::H, j);
-                    self.accs[acc][j] += x * y;
-                }
-            }
-            AccOp::AddH => {
-                for j in 0..width / 2 {
-                    self.accs[acc][j] += subword::get_lane_i(a, Esz::H, j);
-                }
-            }
-        }
     }
 
     fn simd_elems(&self, op: simdsim_isa::VOp) -> usize {

@@ -4,10 +4,13 @@
 use proptest::prelude::*;
 use simdsim_asm::Asm;
 use simdsim_emu::subword::{
-    apply_shift, apply_vop, get_lane_i, get_lane_u, sad, scalar_ref, set_lane, splat,
+    acc_pack, accumulate, apply_shift, apply_vop, get_lane_i, get_lane_u, madd, pack, sad,
+    scalar_ref, set_lane, splat, transpose, unpack,
 };
 use simdsim_emu::{Machine, NullSink};
-use simdsim_isa::{AluOp, Esz, Ext, VOp, VShiftOp};
+use simdsim_isa::{AccOp, AluOp, Esz, Ext, Sat, VOp, VShiftOp};
+
+const ALL_ESZ: [Esz; 4] = [Esz::B, Esz::H, Esz::W, Esz::D];
 
 fn esz_strategy() -> impl Strategy<Value = Esz> {
     prop_oneof![Just(Esz::B), Just(Esz::H), Just(Esz::W)]
@@ -51,6 +54,20 @@ fn vops_for(esz: Esz) -> Vec<VOp> {
         ops.extend([VOp::PackS(esz), VOp::PackU(esz)]);
     }
     ops
+}
+
+/// Scales every lane of `w` down to about twice the range of the
+/// half-size element, so narrowing ops see in-range and saturating lanes
+/// alike (uniform words almost always saturate).
+fn near_half_range(w: u128, esz: Esz) -> u128 {
+    (0..esz.lanes(128)).fold(0, |out, l| {
+        set_lane(
+            out,
+            esz,
+            l,
+            (get_lane_i(w, esz, l) >> (esz.bits() / 2 - 1)) as u64,
+        )
+    })
 }
 
 proptest! {
@@ -219,6 +236,110 @@ proptest! {
     fn sad_matches_scalar_reference(a in any::<u128>(), b in any::<u128>()) {
         for width in [8usize, 16] {
             prop_assert_eq!(sad(a, b, width), scalar_ref::sad(a, b, width));
+        }
+    }
+
+    #[test]
+    fn madd_and_unpack_match_scalar_reference(a in any::<u128>(), b in any::<u128>()) {
+        for width in [8usize, 16] {
+            prop_assert_eq!(madd(a, b, width), scalar_ref::madd(a, b, width), "width {}", width);
+            for esz in ALL_ESZ {
+                for hi in [false, true] {
+                    prop_assert_eq!(
+                        unpack(a, b, esz, width, hi),
+                        scalar_ref::unpack(a, b, esz, width, hi),
+                        "esz {:?} width {} hi {}",
+                        esz,
+                        width,
+                        hi
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_matches_scalar_reference(a in any::<u128>(), b in any::<u128>()) {
+        for esz in [Esz::H, Esz::W, Esz::D] {
+            let (na, nb) = (near_half_range(a, esz), near_half_range(b, esz));
+            for (x, y) in [(a, b), (na, nb), (na, b)] {
+                for width in [8usize, 16] {
+                    for unsigned in [false, true] {
+                        prop_assert_eq!(
+                            pack(x, y, esz, width, unsigned),
+                            scalar_ref::pack(x, y, esz, width, unsigned),
+                            "esz {:?} width {} unsigned {}",
+                            esz,
+                            width,
+                            unsigned
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn accumulators_match_scalar_reference(
+        a in any::<u128>(),
+        b in any::<u128>(),
+        init in prop::collection::vec(any::<i32>(), 8),
+    ) {
+        let init: [i64; 8] = std::array::from_fn(|l| i64::from(init[l]));
+        for op in [AccOp::Sad, AccOp::Ssd, AccOp::Mac, AccOp::AddH] {
+            for width in [8usize, 16] {
+                let (mut fast, mut slow) = (init, init);
+                // Several rows into one accumulator, as `MAcc` does.
+                for (x, y) in [(a, b), (b, a), (a ^ b, a)] {
+                    accumulate(op, &mut fast, x, y, width);
+                    scalar_ref::accumulate(op, &mut slow, x, y, width);
+                }
+                prop_assert_eq!(fast, slow, "op {:?} width {}", op, width);
+            }
+        }
+    }
+
+    #[test]
+    fn acc_pack_matches_scalar_reference(
+        lanes in prop::collection::vec(any::<i64>(), 8),
+        shift in 0u8..40,
+    ) {
+        let raw: [i64; 8] = std::array::from_fn(|l| lanes[l]);
+        for esz in ALL_ESZ {
+            // Raw lanes almost always saturate; scaled ones straddle the
+            // element range.
+            let scaled = raw.map(|x| x >> (63 - esz.bits().min(63)));
+            for acc in [raw, scaled] {
+                for sat in [Sat::Wrap, Sat::Signed, Sat::Unsigned] {
+                    for width in [8usize, 16] {
+                        prop_assert_eq!(
+                            acc_pack(&acc, esz, sat, shift, width),
+                            scalar_ref::acc_pack(&acc, esz, sat, shift, width),
+                            "esz {:?} sat {:?} shift {} width {}",
+                            esz,
+                            sat,
+                            shift,
+                            width
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_matches_scalar_reference(rows in prop::collection::vec(any::<u128>(), 16)) {
+        for esz in ALL_ESZ {
+            for width in [8usize, 16] {
+                let n = width / esz.bytes();
+                prop_assert_eq!(
+                    transpose(&rows[..n], esz),
+                    scalar_ref::transpose(&rows[..n], esz),
+                    "esz {:?} width {}",
+                    esz,
+                    width
+                );
+            }
         }
     }
 

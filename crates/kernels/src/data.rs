@@ -70,14 +70,19 @@ impl Rng64 {
 /// correlation rather than white noise.
 #[must_use]
 pub fn smooth_plane(w: usize, h: usize, seed: u64) -> Vec<u8> {
+    // The three gradient terms depend on x, y and x + y alone, so they are
+    // tabulated once; the per-pixel sum keeps the original order of
+    // operations, so the plane is bit-identical to evaluating them inline.
+    let sx: Vec<f64> = (0..w).map(|x| 60.0 * ((x as f64) * 0.07).sin()).collect();
+    let cy: Vec<f64> = (0..h).map(|y| 40.0 * ((y as f64) * 0.11).cos()).collect();
+    let sd: Vec<f64> = (0..w + h)
+        .map(|d| 20.0 * ((d as f64) * 0.023).sin())
+        .collect();
     let mut rng = Rng64::new(seed);
     let mut out = vec![0u8; w * h];
     for y in 0..h {
         for x in 0..w {
-            let base = 96.0
-                + 60.0 * ((x as f64) * 0.07).sin()
-                + 40.0 * ((y as f64) * 0.11).cos()
-                + 20.0 * (((x + y) as f64) * 0.023).sin();
+            let base = 96.0 + sx[x] + cy[y] + sd[x + y];
             let noise = (rng.next_u64() % 17) as f64 - 8.0;
             out[y * w + x] = (base + noise).clamp(0.0, 255.0) as u8;
         }
@@ -118,5 +123,44 @@ mod tests {
             diff += u64::from(p[i].abs_diff(p[i - 1]));
         }
         assert!(diff / (p.len() as u64 - 1) < 40);
+    }
+
+    /// FNV-1a over the plane bytes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn smooth_plane_digests_are_pinned() {
+        // Every (w, h, seed) the kernels, apps and their tests draw, with
+        // the digests of the per-pixel sin/cos formulation: the tabulated
+        // terms must reproduce it bit for bit.
+        let cases: &[(usize, usize, u64, u64)] = &[
+            (800, 16, 11, 0x17dd3b767bebf593),
+            (800, 16, 23, 0x83f501a6511d110a),
+            (800, 4, 31, 0x48954800e0ce484d),
+            (800, 4, 41, 0x3486582df3160384),
+            (800, 8, 51, 0xea9f0d3070932e0d),
+            (64, 16, 1, 0xdb4a3011cc99631f),
+            (64, 8, 1, 0xbda1e572b32c77ac),
+            (256, 16, 91, 0xd9f1f652f40426d1),
+            (128, 128, 1, 0xeba8e870bad01ccf),
+            (128, 128, 2, 0xf78a7e3e1124faea),
+            (128, 128, 3, 0x8a9390fb86e0de46),
+            (128, 128, 201, 0x74a07c3df4ca37dc),
+            (128, 128, 203, 0x289811e109a485b3),
+            (128, 128, 205, 0x348b17f47bcd45b9),
+            (96, 64, 301, 0x6bdee4c22731c3a5),
+            (48, 32, 305, 0xbaea9ba1bfb36c46),
+            (48, 32, 307, 0x4100b61b275e7228),
+            (48, 32, 309, 0x8dfb702163c124f7),
+            (48, 32, 311, 0x87aad5f5ff0bceba),
+        ];
+        for &(w, h, seed, want) in cases {
+            let got = fnv1a(&smooth_plane(w, h, seed));
+            assert_eq!(got, want, "smooth_plane({w}, {h}, {seed})");
+        }
     }
 }

@@ -31,11 +31,11 @@ const STORE_TIME_BITS: u32 = 48;
 const STORE_TIME_MASK: u64 = (1 << STORE_TIME_BITS) - 1;
 /// Committed instructions between two store-line cleanups.
 const CLEANUP_INTERVAL: u64 = 1 << 16;
-const CLS_INT: usize = 0;
-const CLS_FP: usize = 1;
-const CLS_MEM: usize = 2;
-const CLS_SIMD: usize = 3;
-const CLS_VMEM: usize = 4;
+/// Resource-ring classes: the issue limits that can refuse a claim.
+const CLS_MEM: usize = 0;
+const CLS_SIMD: usize = 1;
+const CLS_VMEM: usize = 2;
+const RING_CLASSES: usize = 3;
 
 /// Timing statistics of one simulated run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -116,12 +116,12 @@ pub struct Pipeline {
     simd_fu: Vec<u64>,
     /// Cycle-bucketed issue-slot counts, each entry tagged with
     /// `cycle + ring_base`; an entry whose tag differs is free.
-    ring: Vec<(u64, [u8; 5])>,
+    ring: Vec<(u64, [u8; RING_CLASSES])>,
     /// Tag offset of the current cell.  [`Pipeline::reset`] moves it past
     /// every tag the previous cell wrote, which retires the whole ring
     /// without touching it.
     ring_base: u64,
-    limits: [u8; 5],
+    limits: [u8; RING_CLASSES],
     next_fetch: u64,
     fetch_used: usize,
     rob: VecDeque<u64>,
@@ -160,13 +160,19 @@ pub struct Pipeline {
 /// cycle-bucketed resource ring.  A free function over the ring fields so
 /// [`Pipeline::fu_issue`] can hold a mutable borrow of an FU pool across
 /// the call.
-fn slot(ring: &mut [(u64, [u8; 5])], base: u64, limits: &[u8; 5], cls: usize, from: u64) -> u64 {
+fn slot(
+    ring: &mut [(u64, [u8; RING_CLASSES])],
+    base: u64,
+    limits: &[u8; RING_CLASSES],
+    cls: usize,
+    from: u64,
+) -> u64 {
     let lim = limits[cls];
     let mut c = from;
     loop {
         let e = &mut ring[(c as usize) & (RING - 1)];
         if e.0 != c + base {
-            *e = (c + base, [0; 5]);
+            *e = (c + base, [0; RING_CLASSES]);
         }
         if e.1[cls] < lim {
             e.1[cls] += 1;
@@ -188,17 +194,16 @@ fn line_keys(acc: &MemAccess) -> impl Iterator<Item = u64> + '_ {
     })
 }
 
-/// Per-class issue limits of the resource ring (`int`, `fp`, `mem`,
-/// `simd`, vector memory).  [`PipeConfig::validate`] keeps every count in
-/// `1..=255`.
-fn issue_limits(cfg: &PipeConfig) -> [u8; 5] {
-    [
-        cfg.int_fus as u8,
-        cfg.fp_fus as u8,
-        cfg.mem_fus as u8,
-        cfg.simd_issue as u8,
-        1,
-    ]
+/// Per-class issue limits of the resource ring (`mem`, `simd`, vector
+/// memory).  [`PipeConfig::validate`] keeps every count in `1..=255`.
+///
+/// INT and FP have no class: their issue limits equal their FU pool sizes,
+/// and a unit issues at most once per cycle (its next issue is at least
+/// this one plus the occupancy, which is ≥ 1), so such a limit can never
+/// refuse a claim.  For the same reason SIMD claims a slot only when
+/// `simd_issue < simd_fus` (see [`Pipeline::fu_issue`]).
+fn issue_limits(cfg: &PipeConfig) -> [u8; RING_CLASSES] {
+    [cfg.mem_fus as u8, cfg.simd_issue as u8, 1]
 }
 
 /// In-flight budgets of the integer, FP and SIMD rename FIFOs.
@@ -222,7 +227,7 @@ impl Pipeline {
             fp_fu: vec![0; cfg.fp_fus],
             simd_fu: vec![0; cfg.simd_fus],
             // Tag 0 never matches: tags start at `ring_base` = 1.
-            ring: vec![(0, [0; 5]); RING],
+            ring: vec![(0, [0; RING_CLASSES]); RING],
             ring_base: 1,
             limits: issue_limits(&cfg),
             next_fetch: 0,
@@ -350,7 +355,11 @@ impl Pipeline {
         }
     }
 
-    fn fu_issue(&mut self, pool: usize, cls: usize, ready: u64, occupancy: u64) -> u64 {
+    /// Issues on the earliest-free unit of FU pool `pool` (0 INT, 1 FP,
+    /// 2 SIMD) at or after `ready`.  Only a SIMD pool wider than its issue
+    /// limit claims a resource-ring slot; every other pool issues at most
+    /// its limit per cycle by construction (see [`issue_limits`]).
+    fn fu_issue(&mut self, pool: usize, ready: u64, occupancy: u64) -> u64 {
         // One match, mutable borrow up front; `slot` only touches the
         // (disjoint) ring fields.
         let pool_vec = match pool {
@@ -365,7 +374,17 @@ impl Pipeline {
             .map(|(i, f)| (i, *f))
             .expect("non-empty FU pool");
         let candidate = ready.max(free);
-        let issue = slot(&mut self.ring, self.ring_base, &self.limits, cls, candidate);
+        let issue = if pool == 2 && self.cfg.simd_issue < self.cfg.simd_fus {
+            slot(
+                &mut self.ring,
+                self.ring_base,
+                &self.limits,
+                CLS_SIMD,
+                candidate,
+            )
+        } else {
+            candidate
+        };
         pool_vec[idx] = issue + occupancy;
         issue
     }
@@ -436,17 +455,17 @@ impl Pipeline {
         match dec.fu {
             FuKind::None => ready,
             FuKind::IntAlu => {
-                let issue = self.fu_issue(0, CLS_INT, ready, u64::from(dec.occ));
+                let issue = self.fu_issue(0, ready, u64::from(dec.occ));
                 self.prof_exec(issue - ready, u64::from(dec.lat), 0);
                 issue + u64::from(dec.lat)
             }
             FuKind::IntMul => {
-                let issue = self.fu_issue(0, CLS_INT, ready, u64::from(dec.occ));
+                let issue = self.fu_issue(0, ready, u64::from(dec.occ));
                 self.prof_exec(issue - ready, u64::from(dec.lat), 0);
                 issue + u64::from(dec.lat)
             }
             FuKind::Fp => {
-                let issue = self.fu_issue(1, CLS_FP, ready, u64::from(dec.occ));
+                let issue = self.fu_issue(1, ready, u64::from(dec.occ));
                 self.prof_exec(issue - ready, u64::from(dec.lat), 0);
                 issue + u64::from(dec.lat)
             }
@@ -457,7 +476,7 @@ impl Pipeline {
                 } else {
                     1
                 };
-                let issue = self.fu_issue(2, CLS_SIMD, ready, occ);
+                let issue = self.fu_issue(2, ready, occ);
                 self.prof_exec(issue - ready, occ - 1 + base, 0);
                 issue + occ - 1 + base
             }

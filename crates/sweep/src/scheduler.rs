@@ -38,7 +38,11 @@ pub fn default_workers() -> usize {
 /// `Err(JobPanic)` in its slot; the other jobs are unaffected.
 ///
 /// `workers` is clamped to `1..=items.len()`, so the pool is always
-/// bounded and never larger than the work.
+/// bounded and never larger than the work.  A single worker is the
+/// calling thread itself: spawning one thread per call would rebuild its
+/// thread-local caches (the pooled pipeline, the decode memo) every call,
+/// and under glibc a thread started while the previous one still frees
+/// its caches gets a second malloc arena, which holds its memory.
 pub fn run_jobs<T, R>(
     items: &[T],
     workers: usize,
@@ -53,6 +57,9 @@ where
         return Vec::new();
     }
     let workers = workers.clamp(1, n);
+    if workers == 1 {
+        return items.iter().map(|item| run_one(&f, item)).collect();
+    }
 
     // Per-worker deques of item indices, filled round-robin.  A worker
     // pops from the front of its own deque and steals from the back of a
@@ -71,13 +78,7 @@ where
             let f = &f;
             s.spawn(move || {
                 while let Some(i) = next_job(queues, w) {
-                    let result =
-                        catch_unwind(AssertUnwindSafe(|| f(&items[i]))).map_err(|payload| {
-                            JobPanic {
-                                message: panic_message(payload.as_ref()),
-                            }
-                        });
-                    if tx.send((i, result)).is_err() {
+                    if tx.send((i, run_one(f, &items[i]))).is_err() {
                         break;
                     }
                 }
@@ -96,6 +97,13 @@ where
         .into_iter()
         .map(|s| s.expect("every job produced exactly one result"))
         .collect()
+}
+
+/// Runs one job under panic isolation.
+fn run_one<T, R>(f: &impl Fn(&T) -> R, item: &T) -> Result<R, JobPanic> {
+    catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|payload| JobPanic {
+        message: panic_message(payload.as_ref()),
+    })
 }
 
 /// Next index for worker `w`: own queue first, then steal.  Queues only
@@ -128,6 +136,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn one_worker_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let out = run_jobs(&[0u8; 5], 1, |_| std::thread::current().id());
+        assert!(out.into_iter().all(|r| r.expect("no panic") == caller));
+    }
 
     #[test]
     fn results_come_back_in_item_order() {
