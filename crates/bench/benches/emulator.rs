@@ -1,14 +1,16 @@
 //! Criterion benchmarks of the functional emulation path (`Machine::run`
 //! and the predecoded `Machine::run_decoded` hot loop), isolated from the
 //! timing model, and of the sub-word kernels (SWAR and lane-array fast
-//! paths) against their per-lane `scalar_ref` references.
+//! paths) against the reference interpreter's per-lane oracles
+//! (`simdsim_conform::refint`).
 
 use criterion::{
     criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
 };
 use simdsim::emu::{Machine, NullSink};
 use simdsim::kernels::{by_name, Variant};
-use simdsim_emu::subword::{self, scalar_ref};
+use simdsim_conform::refint;
+use simdsim_emu::subword;
 use simdsim_isa::{AccOp, Esz, Ext, VOp, VShiftOp};
 
 fn bench_machine_run(c: &mut Criterion) {
@@ -113,7 +115,7 @@ fn bench_subword(c: &mut Criterion) {
             name,
             &inputs,
             |x, y| subword::apply_vop(op, x, y, 16),
-            |x, y| scalar_ref::apply_vop(op, x, y, 16),
+            |x, y| refint::vop(op, x, y, 16),
         );
     }
     let sll = VShiftOp::Sll(Esz::H);
@@ -122,7 +124,7 @@ fn bench_subword(c: &mut Criterion) {
         "sll.h",
         &inputs,
         |x, _| subword::apply_shift(sll, x, 3, 16),
-        |x, _| scalar_ref::apply_shift(sll, x, 3, 16),
+        |x, _| refint::vshift(sll, x, 3, 16),
     );
     // Accumulators: every operand pair folds into one accumulator, as the
     // rows of an `MAcc` do.
@@ -145,7 +147,7 @@ fn bench_subword(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = [0i64; 8];
                 for &(x, y) in inputs {
-                    scalar_ref::accumulate(op, &mut acc, x, y, 16);
+                    refint::accumulate(op, &mut acc, x, y, 16);
                 }
                 acc
             });
@@ -165,7 +167,7 @@ fn bench_subword(c: &mut Criterion) {
         |b, rows| {
             b.iter(|| {
                 rows.chunks_exact(8)
-                    .fold(0u128, |acc, m| acc ^ scalar_ref::transpose(m, Esz::H)[7])
+                    .fold(0u128, |acc, m| acc ^ refint::transpose(m, Esz::H, 16)[7])
             });
         },
     );

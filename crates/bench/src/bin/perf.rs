@@ -33,7 +33,7 @@ options:
 ///
 /// `mips` divides by the cell's full wall time (workload build, decode
 /// and store probe included); `core_mips` divides by `simulate_ms` only,
-/// so it isolates the simulator core the superblock engine accelerates.
+/// so it isolates the simulator core: the emulate→time step loop.
 #[derive(Debug, Serialize)]
 struct BenchCell {
     label: String,

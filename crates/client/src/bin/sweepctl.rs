@@ -573,9 +573,6 @@ struct TopSnapshot {
     workers_live: Option<u64>,
     workers_total: Option<u64>,
     simulated_mips: Option<f64>,
-    blocks_predecoded: Option<u64>,
-    block_fused_hits: Option<u64>,
-    block_side_exits: Option<u64>,
     http_requests: Option<u64>,
     http_p50_ms: Option<f64>,
     http_p99_ms: Option<f64>,
@@ -594,24 +591,6 @@ impl TopSnapshot {
             workers_live: fleet.map(|f| f.workers.iter().filter(|w| w.live).count() as u64),
             workers_total: fleet.map(|f| f.workers.len() as u64),
             simulated_mips: parse_gauge(metrics, "simdsim_simulated_mips"),
-            blocks_predecoded: parse_labelled(
-                metrics,
-                "simdsim_superblocks_total",
-                "event=\"predecoded\"",
-            )
-            .map(|v| v as u64),
-            block_fused_hits: parse_labelled(
-                metrics,
-                "simdsim_superblocks_total",
-                "event=\"fused_hit\"",
-            )
-            .map(|v| v as u64),
-            block_side_exits: parse_labelled(
-                metrics,
-                "simdsim_superblocks_total",
-                "event=\"side_exit\"",
-            )
-            .map(|v| v as u64),
             http_requests: http.map(|(n, _, _)| n),
             http_p50_ms: http.map(|(_, p50, _)| p50),
             http_p99_ms: http.map(|(_, _, p99)| p99),
@@ -630,15 +609,6 @@ fn or_na_f(v: Option<f64>, places: usize) -> String {
 /// `Some` rendered with `Display`, `None` as `n/a`.
 fn or_na<T: std::fmt::Display>(v: Option<T>) -> String {
     v.map_or_else(|| "n/a".to_owned(), |x| x.to_string())
-}
-
-/// The sample of one labelled counter series (`name{label} value`),
-/// `None` when the series is absent from the scrape.
-fn parse_labelled(metrics: &str, name: &str, label: &str) -> Option<f64> {
-    let prefix = format!("{name}{{{label}}} ");
-    metrics
-        .lines()
-        .find_map(|line| line.strip_prefix(&prefix)?.trim().parse().ok())
 }
 
 /// The first sample of an unlabelled gauge/counter family, `None` when
@@ -750,12 +720,6 @@ fn render_top(snap: &TopSnapshot, fleet: Option<&FleetStatus>, addr: &str) {
         or_na(snap.queue_depth),
         or_na(snap.pending_cells),
         or_na_f(snap.simulated_mips, 1)
-    ));
-    say(format_args!(
-        "blocks {:>6} predecoded   {:>9} fused hits   {:>6} side exits",
-        or_na(snap.blocks_predecoded),
-        or_na(snap.block_fused_hits),
-        or_na(snap.block_side_exits)
     ));
     say(format_args!(
         "http   latency  p50 {:>8}ms  p99 {:>8}ms   over {} requests",

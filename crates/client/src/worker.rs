@@ -200,16 +200,16 @@ fn unit_spans(lease: &Lease, results: &[UnitResult], worker: u64) -> Vec<DebugEv
                             c.cell.label(),
                             if r.cached { "cached" } else { "simulated" }
                         );
-                        // Freshly simulated cells carry superblock-engine
-                        // counters; cached cells replay stored stats.
-                        if let Some(s) = r.stats.as_ref().filter(|_| !r.cached) {
-                            d.push_str(&format!(
-                                " blocks={} hits={} side_exits={}",
-                                s.blocks_cached, s.block_hits, s.side_exits
-                            ));
-                            if let Some(top) = s.profile.as_ref().and_then(top_stall) {
-                                d.push_str(&format!(" top_stall={top}"));
-                            }
+                        // Freshly simulated cells report their dominant
+                        // stall; cached cells replay stored stats.
+                        if let Some(top) = r
+                            .stats
+                            .as_ref()
+                            .filter(|_| !r.cached)
+                            .and_then(|s| s.profile.as_ref())
+                            .and_then(top_stall)
+                        {
+                            d.push_str(&format!(" top_stall={top}"));
                         }
                         d
                     }

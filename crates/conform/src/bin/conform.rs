@@ -1,7 +1,7 @@
 //! `conform` — conformance subsystem CLI.
 //!
 //! ```text
-//! conform run  [--corpus DIR]          # corpus through all three engines
+//! conform run  [--corpus DIR]          # corpus through reference and emulator
 //! conform fuzz [--cases N] [--seed S]  # differential fuzzing
 //! conform lint [NAME ...]              # lint built-in kernels/apps (all by default)
 //! conform smoke [--cases N]            # run + fuzz + lint; prints the CI line

@@ -1,19 +1,17 @@
-//! The conformance corpus: run `.s` cases through all three engines.
+//! The conformance corpus: run `.s` cases through the reference and the
+//! emulator.
 //!
 //! Every `crates/conform/corpus/*.s` file is parsed by
 //! [`CorpusProgram`], executed by
 //!
-//! 1. the [`RefMachine`] reference interpreter,
-//! 2. `Machine::run_decoded_observed` over the normal predecoded
-//!    (superblock) table, and
-//! 3. the same entry point over [`Decoded::without_blocks`], which
-//!    forces the per-instruction side-exit path,
+//! 1. the [`RefMachine`](crate::RefMachine) reference interpreter, and
+//! 2. the emulator's one step loop, `Machine::run_decoded_observed`,
 //!
-//! and the three runs must agree on the complete effects stream, the
+//! and the two runs must agree on the complete effects stream, the
 //! final architectural state, the error (if any) and the dynamic-count
 //! statistics the timing model consumes.  The reference run's final
 //! state is additionally compared against the committed
-//! `<case>.expect.json` fixture, so a semantic change to *all* engines
+//! `<case>.expect.json` fixture, so a semantic change to both engines
 //! at once still trips conformance until the fixture is regenerated
 //! (`CONFORM_REGEN=1`).
 
@@ -45,13 +43,13 @@ impl CaseResult {
     }
 }
 
-/// Runs one parsed program through all three engines and checks they
-/// agree; returns the reference run's final architectural state.
+/// Runs one parsed program through the reference interpreter and the
+/// emulator and checks they agree; returns the reference run's final
+/// architectural state.
 ///
 /// # Errors
 ///
-/// Returns a divergence report naming the engines and the first
-/// differing artefact.
+/// Returns a divergence report naming the first differing artefact.
 pub fn differential(cp: &CorpusProgram, max_instrs: u64) -> Result<ArchState, String> {
     let code = cp.program.code();
 
@@ -59,50 +57,46 @@ pub fn differential(cp: &CorpusProgram, max_instrs: u64) -> Result<ArchState, St
     let ref_run = rm.run(&cp.program, max_instrs);
     let ref_state = ArchState::of_ref(&rm);
 
-    let dec = cp.program.decode();
-    let engines = [("blocks", dec.clone()), ("stepped", dec.without_blocks())];
-    for (label, table) in engines {
-        let mut m = cp.machine();
-        let mut rec = EffectsRecorder::default();
-        let res = m.run_decoded_observed(&table, &mut NullSink, max_instrs, &mut rec);
-        let emu_state = ArchState::of_machine(&m);
+    let mut m = cp.machine();
+    let mut rec = EffectsRecorder::default();
+    let res = m.run_decoded_observed(&cp.program.decode(), &mut NullSink, max_instrs, &mut rec);
+    let emu_state = ArchState::of_machine(&m);
 
-        let emu_err = res.as_ref().err().cloned();
-        if ref_run.error != emu_err {
+    let emu_err = res.as_ref().err().cloned();
+    if ref_run.error != emu_err {
+        return Err(format!(
+            "error divergence: reference={:?} emu={emu_err:?}",
+            ref_run.error
+        ));
+    }
+    if let Some(d) = diff_effects("reference", &ref_run.effects, "emu", &rec.effects, code) {
+        return Err(d);
+    }
+    if let Some(d) = ref_state.diff("reference", &emu_state, "emu") {
+        return Err(format!("final state divergence: {d}"));
+    }
+    if let Ok(stats) = res {
+        let same = stats.dyn_instrs == ref_run.dyn_instrs
+            && stats.counts == ref_run.counts
+            && stats.scalar_region_instrs == ref_run.scalar_region_instrs
+            && stats.vector_region_instrs == ref_run.vector_region_instrs
+            && stats.element_ops == ref_run.element_ops;
+        if !same {
             return Err(format!(
-                "error divergence: reference={:?} emu/{label}={emu_err:?}",
-                ref_run.error
+                "stats divergence: reference \
+                 dyn={} counts={:?} sreg={} vreg={} elems={} / emu \
+                 dyn={} counts={:?} sreg={} vreg={} elems={}",
+                ref_run.dyn_instrs,
+                ref_run.counts,
+                ref_run.scalar_region_instrs,
+                ref_run.vector_region_instrs,
+                ref_run.element_ops,
+                stats.dyn_instrs,
+                stats.counts,
+                stats.scalar_region_instrs,
+                stats.vector_region_instrs,
+                stats.element_ops,
             ));
-        }
-        if let Some(d) = diff_effects("reference", &ref_run.effects, label, &rec.effects, code) {
-            return Err(d);
-        }
-        if let Some(d) = ref_state.diff("reference", &emu_state, label) {
-            return Err(format!("final state divergence: {d}"));
-        }
-        if let Ok(stats) = res {
-            let same = stats.dyn_instrs == ref_run.dyn_instrs
-                && stats.counts == ref_run.counts
-                && stats.scalar_region_instrs == ref_run.scalar_region_instrs
-                && stats.vector_region_instrs == ref_run.vector_region_instrs
-                && stats.element_ops == ref_run.element_ops;
-            if !same {
-                return Err(format!(
-                    "stats divergence vs {label}: reference \
-                     dyn={} counts={:?} sreg={} vreg={} elems={} / emu \
-                     dyn={} counts={:?} sreg={} vreg={} elems={}",
-                    ref_run.dyn_instrs,
-                    ref_run.counts,
-                    ref_run.scalar_region_instrs,
-                    ref_run.vector_region_instrs,
-                    ref_run.element_ops,
-                    stats.dyn_instrs,
-                    stats.counts,
-                    stats.scalar_region_instrs,
-                    stats.vector_region_instrs,
-                    stats.element_ops,
-                ));
-            }
         }
     }
     Ok(ref_state)
@@ -114,7 +108,7 @@ pub fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus")
 }
 
-/// Runs one corpus file: three-engine differential plus the
+/// Runs one corpus file: reference-vs-emulator differential plus the
 /// `.expect.json` fixture check.  With `regen`, rewrites the fixture
 /// instead of comparing.
 #[must_use]

@@ -1,4 +1,4 @@
-//! Differential fuzzer: random well-formed programs, three engines.
+//! Differential fuzzer: random well-formed programs, reference vs emulator.
 //!
 //! Programs are generated through `simdsim_asm::Asm` from a seeded
 //! [`splitmix64`] stream, so every case is reproducible from its seed
@@ -6,8 +6,9 @@
 //! recipe-driven: it emits an initialisation prologue (immediates,
 //! splats, memory seeding), then a body of random instructions drawn
 //! from the classes legal for the chosen extension — optionally wrapped
-//! in a bounded counted loop and sprinkled with forward skip branches
-//! so the superblock engine actually exercises splits and side exits.
+//! in a bounded counted loop and sprinkled with forward skip branches,
+//! so cases exercise taken and not-taken control flow, not just
+//! straight-line code.
 //!
 //! The generator stays inside the domain where the production
 //! emulator's semantics are well-defined in both build profiles:
@@ -346,7 +347,7 @@ pub fn random_program(seed: u64) -> (Ext, Program) {
     let mut a = Asm::new();
 
     // Prologue: deterministic machine setup through the program itself,
-    // so all three engines start from the identical all-zero machine.
+    // so both engines start from the identical all-zero machine.
     a.li(IReg::new(BASE), 1024 + (r.below(256) * 8) as i64);
     for &i in &IPOOL {
         a.li(IReg::new(i), (r.next_u64() as i16) as i64);
@@ -379,7 +380,7 @@ pub fn random_program(seed: u64) -> (Ext, Program) {
     };
     for _ in 0..n_body {
         if r.chance(1, 12) {
-            // Forward skip branch: splits superblocks mid-body.
+            // Forward skip branch: data-dependent control flow mid-body.
             let skip = a.label();
             a.branch(cond(&mut r), ireg(&mut r), 0, skip);
             body_instr(&mut a, &mut r, ext);

@@ -1,22 +1,23 @@
 //! Conformance subsystem: reference oracle, differential corpus,
 //! fuzzer and assembly linter.
 //!
-//! The production emulator is heavily optimised — predecoded tables,
-//! superblock dispatch, SWAR sub-word kernels — which is exactly why it
-//! needs a permanently-simple second opinion.  This crate provides:
+//! The production emulator is optimised — predecoded tables, SWAR and
+//! lane-array sub-word kernels — which is exactly why it needs a
+//! permanently-simple second opinion.  This crate provides:
 //!
 //! * [`RefMachine`] — a deliberately slow reference interpreter
 //!   (straight-line `match`, per-lane loops, `i128` arithmetic) that
 //!   defines the ISA's architectural semantics independently of the
-//!   emulator's implementation tricks;
+//!   emulator's implementation tricks, and whose per-lane functions
+//!   ([`refint::vop`], [`refint::vshift`], …) are the one oracle the
+//!   emulator's sub-word kernels are property-tested against;
 //! * an architectural-**effects** model ([`Effect`],
 //!   [`EffectsRecorder`]) capturing what every committed instruction
 //!   wrote, observed live via the emulator's `StepObserver` seam;
 //! * the conformance **corpus** (`corpus/*.s`, parsed by
 //!   [`CorpusProgram`]): small hand-written programs, one per
 //!   instruction family, executed through the reference interpreter and
-//!   both emulator dispatch paths with committed expected-state
-//!   fixtures;
+//!   the emulator with committed expected-state fixtures;
 //! * a differential **fuzzer** ([`fuzz_case`]) generating random
 //!   well-formed programs through `simdsim_asm::Asm`;
 //! * a static **linter** ([`lint`]) over assembled programs.

@@ -2,18 +2,22 @@
 //!
 //! [`RefMachine`] re-implements the ISA's architectural semantics as a
 //! straight-line `match` over [`Instr`] with per-lane scalar loops — no
-//! predecode, no superblocks, no SWAR, and nothing shared with the
-//! production emulator's `subword` kernels.  Where the emulator uses
-//! packed 128-bit tricks, the oracle extracts each lane, computes in
-//! `i128` (so saturating arithmetic is mathematically exact rather than
-//! depending on intermediate 64-bit behaviour) and reassembles the word.
+//! predecode, no SWAR, and nothing shared with the production
+//! emulator's `subword` kernels.  Where the emulator uses packed 128-bit
+//! tricks, the oracle extracts each lane, computes in `i128` (so
+//! saturating arithmetic is mathematically exact rather than depending
+//! on intermediate 64-bit behaviour) and reassembles the word.  The
+//! per-lane functions ([`vop`], [`vshift`], [`splat`], [`accumulate`],
+//! [`transpose`], [`acc_pack`]) are public: they are also the oracle the
+//! emulator's sub-word kernels are property-tested against
+//! (`tests/prop.rs`) and benchmarked against.
 //!
 //! It produces the same observable artefacts as an emulator run driven
 //! through an [`EffectsRecorder`](crate::EffectsRecorder): one
 //! [`Effect`] per committed instruction, byte-identical [`EmuError`]
 //! values on faults, and the same dynamic-count statistics the timing
 //! model consumes.  The differential tester asserts all of these match
-//! across engines.
+//! between the reference and the emulator.
 //!
 //! Deliberate non-goals: the oracle defines mathematically-exact
 //! semantics for saturating arithmetic on 64-bit lanes and for
@@ -326,28 +330,16 @@ impl RefMachine {
     }
 
     fn write_vloc(&mut self, l: VLoc, v: u128) {
-        let masked = v & self.word_mask();
+        let masked = v & word_mask(self.width());
         match l {
             VLoc::V(reg) => self.vregs[reg.index()] = masked,
             VLoc::Row(m, r) => self.mregs[m.index()][r as usize] = masked,
         }
     }
 
-    fn word_mask(&self) -> u128 {
-        if self.width() == 16 {
-            u128::MAX
-        } else {
-            (1u128 << 64) - 1
-        }
-    }
-
     fn lanes(&self, e: Esz) -> usize {
         e.lanes(self.width() * 8)
     }
-
-    // ------------------------------------------------------------------
-    // Per-lane sub-word arithmetic (independent of `simdsim_emu::subword`)
-    // ------------------------------------------------------------------
 
     /// Elements a vector-arithmetic instruction processes on one word,
     /// mirroring the emulator's `element_ops` accounting.
@@ -375,205 +367,6 @@ impl RefMachine {
             | VOp::UnpackHi(e) => self.lanes(e) as u64,
             VOp::Madd | VOp::Sad => width as u64,
             VOp::And | VOp::Or | VOp::Xor | VOp::AndNot => (width / 8) as u64,
-        }
-    }
-
-    fn vop(&self, op: VOp, a: u128, b: u128) -> u128 {
-        let r = match op {
-            VOp::Add(e) => self.map2_u(a, b, e, |x, y| x.wrapping_add(y)),
-            VOp::AddS(e) => self.map2_i(a, b, e, |x, y| sat_s(i128::from(x) + i128::from(y), e)),
-            VOp::AddU(e) => self.map2_u(a, b, e, |x, y| sat_u(i128::from(x) + i128::from(y), e)),
-            VOp::Sub(e) => self.map2_u(a, b, e, |x, y| x.wrapping_sub(y)),
-            VOp::SubS(e) => self.map2_i(a, b, e, |x, y| sat_s(i128::from(x) - i128::from(y), e)),
-            VOp::SubU(e) => self.map2_u(a, b, e, |x, y| sat_u(i128::from(x) - i128::from(y), e)),
-            VOp::Mullo(e) => self.map2_i(a, b, e, |x, y| (i128::from(x) * i128::from(y)) as u64),
-            VOp::Mulhi(e) => self.map2_i(a, b, e, |x, y| {
-                ((i128::from(x) * i128::from(y)) >> e.bits()) as u64
-            }),
-            VOp::Madd => self.madd(a, b),
-            VOp::Sad => self.sad(a, b),
-            VOp::Avg(e) => self.map2_u(a, b, e, |x, y| {
-                ((u128::from(x) + u128::from(y) + 1) >> 1) as u64
-            }),
-            VOp::MinS(e) => self.map2_i(a, b, e, |x, y| x.min(y) as u64),
-            VOp::MinU(e) => self.map2_u(a, b, e, u64::min),
-            VOp::MaxS(e) => self.map2_i(a, b, e, |x, y| x.max(y) as u64),
-            VOp::MaxU(e) => self.map2_u(a, b, e, u64::max),
-            VOp::CmpEq(e) => self.map2_u(a, b, e, |x, y| if x == y { u64::MAX } else { 0 }),
-            VOp::CmpGt(e) => self.map2_i(a, b, e, |x, y| if x > y { u64::MAX } else { 0 }),
-            VOp::And => a & b,
-            VOp::Or => a | b,
-            VOp::Xor => a ^ b,
-            VOp::AndNot => a & !b,
-            VOp::PackS(e) => self.pack(a, b, e, false),
-            VOp::PackU(e) => self.pack(a, b, e, true),
-            VOp::UnpackLo(e) => self.unpack(a, b, e, false),
-            VOp::UnpackHi(e) => self.unpack(a, b, e, true),
-        };
-        r & self.word_mask()
-    }
-
-    fn map2_u(&self, a: u128, b: u128, e: Esz, f: impl Fn(u64, u64) -> u64) -> u128 {
-        let mut out = 0u128;
-        for l in 0..self.lanes(e) {
-            out = put_lane(out, e, l, f(lane_u(a, e, l), lane_u(b, e, l)));
-        }
-        out
-    }
-
-    fn map2_i(&self, a: u128, b: u128, e: Esz, f: impl Fn(i64, i64) -> u64) -> u128 {
-        let mut out = 0u128;
-        for l in 0..self.lanes(e) {
-            out = put_lane(out, e, l, f(lane_i(a, e, l), lane_i(b, e, l)));
-        }
-        out
-    }
-
-    /// `pmaddwd`: adjacent signed-16 products summed into 32-bit lanes.
-    fn madd(&self, a: u128, b: u128) -> u128 {
-        let mut out = 0u128;
-        for l in 0..self.width() / 4 {
-            let p0 = lane_i(a, Esz::H, 2 * l) * lane_i(b, Esz::H, 2 * l);
-            let p1 = lane_i(a, Esz::H, 2 * l + 1) * lane_i(b, Esz::H, 2 * l + 1);
-            // Products fit in i32, so wrapping i32 addition equals the
-            // truncated true sum.
-            let s = (p0 + p1) as i32;
-            out = put_lane(out, Esz::W, l, u64::from(s as u32));
-        }
-        out
-    }
-
-    /// `psadbw`: one 64-bit sum of byte absolute differences per 8-byte group.
-    fn sad(&self, a: u128, b: u128) -> u128 {
-        let mut out = 0u128;
-        for g in 0..self.width() / 8 {
-            let mut sum = 0u64;
-            for j in 0..8 {
-                let x = lane_u(a, Esz::B, g * 8 + j);
-                let y = lane_u(b, Esz::B, g * 8 + j);
-                sum += x.abs_diff(y);
-            }
-            out |= u128::from(sum) << (g * 64);
-        }
-        out
-    }
-
-    /// Pack both sources' `e`-sized elements into half-size elements
-    /// with saturation: low lanes from `a`, high lanes from `b`.
-    fn pack(&self, a: u128, b: u128, e: Esz, unsigned: bool) -> u128 {
-        let dst = match e {
-            Esz::B => panic!("cannot pack byte elements"),
-            Esz::H => Esz::B,
-            Esz::W => Esz::H,
-            Esz::D => Esz::W,
-        };
-        let n = self.lanes(e);
-        let sat = |v: i64| -> u64 {
-            if unsigned {
-                sat_u(i128::from(v), dst)
-            } else {
-                sat_s(i128::from(v), dst)
-            }
-        };
-        let mut out = 0u128;
-        for l in 0..n {
-            out = put_lane(out, dst, l, sat(lane_i(a, e, l)));
-            out = put_lane(out, dst, n + l, sat(lane_i(b, e, l)));
-        }
-        out
-    }
-
-    /// Interleave the low (or high) halves of `a` and `b`.
-    fn unpack(&self, a: u128, b: u128, e: Esz, hi: bool) -> u128 {
-        let n = self.lanes(e);
-        let half = n / 2;
-        let base = if hi { half } else { 0 };
-        let mut out = 0u128;
-        for l in 0..half {
-            out = put_lane(out, e, 2 * l, lane_u(a, e, base + l));
-            out = put_lane(out, e, 2 * l + 1, lane_u(b, e, base + l));
-        }
-        out
-    }
-
-    fn vshift(&self, op: VShiftOp, a: u128, amount: u8) -> u128 {
-        let (e, kind) = match op {
-            VShiftOp::Sll(e) => (e, 0u8),
-            VShiftOp::Srl(e) => (e, 1),
-            VShiftOp::Sra(e) => (e, 2),
-        };
-        let bits = e.bits() as u32;
-        let amt = u32::from(amount).min(bits);
-        let lane_mask = if bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        };
-        let mut out = 0u128;
-        for l in 0..self.lanes(e) {
-            let v = lane_u(a, e, l);
-            let r = match kind {
-                0 => {
-                    if amt >= bits {
-                        0
-                    } else {
-                        (v << amt) & lane_mask
-                    }
-                }
-                1 => {
-                    if amt >= bits {
-                        0
-                    } else {
-                        v >> amt
-                    }
-                }
-                _ => {
-                    let sh = amt.min(bits - 1);
-                    ((lane_i(a, e, l) >> sh) as u64) & lane_mask
-                }
-            };
-            out = put_lane(out, e, l, r);
-        }
-        out & self.word_mask()
-    }
-
-    fn splat(&self, v: u64, e: Esz) -> u128 {
-        let mut out = 0u128;
-        for l in 0..self.lanes(e) {
-            out = put_lane(out, e, l, v);
-        }
-        out
-    }
-
-    fn accumulate(&mut self, op: AccOp, acc: usize, a: u128, b: u128) {
-        let width = self.width();
-        match op {
-            AccOp::Sad => {
-                for j in 0..width {
-                    let x = lane_u(a, Esz::B, j) as i64;
-                    let y = lane_u(b, Esz::B, j) as i64;
-                    self.accs[acc][j / 2] = self.accs[acc][j / 2].wrapping_add((x - y).abs());
-                }
-            }
-            AccOp::Ssd => {
-                for j in 0..width {
-                    let x = lane_u(a, Esz::B, j) as i64;
-                    let y = lane_u(b, Esz::B, j) as i64;
-                    self.accs[acc][j / 2] =
-                        self.accs[acc][j / 2].wrapping_add((x - y).wrapping_mul(x - y));
-                }
-            }
-            AccOp::Mac => {
-                for j in 0..width / 2 {
-                    let p = lane_i(a, Esz::H, j).wrapping_mul(lane_i(b, Esz::H, j));
-                    self.accs[acc][j] = self.accs[acc][j].wrapping_add(p);
-                }
-            }
-            AccOp::AddH => {
-                for j in 0..width / 2 {
-                    self.accs[acc][j] = self.accs[acc][j].wrapping_add(lane_i(a, Esz::H, j));
-                }
-            }
         }
     }
 
@@ -718,7 +511,7 @@ impl RefMachine {
             Instr::CvtIF { fd, ra } => self.fregs[fd.index()] = self.iregs[ra.index()] as f64,
             Instr::CvtFI { rd, fa } => self.iregs[rd.index()] = self.fregs[fa.index()] as i64,
             Instr::Simd { op, dst, a, b } => {
-                let r = self.vop(op, self.read_vloc(a), self.read_vloc(b));
+                let r = vop(op, self.read_vloc(a), self.read_vloc(b), width);
                 self.write_vloc(dst, r);
                 *element_ops += self.simd_elems(op);
             }
@@ -728,7 +521,7 @@ impl RefMachine {
                 src,
                 amount,
             } => {
-                let r = self.vshift(op, self.read_vloc(src), amount);
+                let r = vshift(op, self.read_vloc(src), amount, width);
                 self.write_vloc(dst, r);
                 let e = match op {
                     VShiftOp::Sll(e) | VShiftOp::Srl(e) | VShiftOp::Sra(e) => e,
@@ -740,7 +533,7 @@ impl RefMachine {
                 self.write_vloc(dst, v);
             }
             Instr::VSplat { dst, src, esz } => {
-                let v = self.splat(self.iregs[src.index()] as u64, esz);
+                let v = splat(self.iregs[src.index()] as u64, esz, width);
                 self.write_vloc(dst, v);
             }
             Instr::MovSV {
@@ -906,7 +699,7 @@ impl RefMachine {
                         MOperand::M(m) => self.mregs[m.index()][r],
                         MOperand::RowBcast(m, row) => self.mregs[m.index()][row as usize],
                     };
-                    self.mregs[dst.index()][r] = self.vop(op, av, bv);
+                    self.mregs[dst.index()][r] = vop(op, av, bv, width);
                 }
                 *element_ops += self.simd_elems(op) * self.vl as u64;
             }
@@ -918,7 +711,7 @@ impl RefMachine {
             } => {
                 for r in 0..self.vl {
                     self.mregs[dst.index()][r] =
-                        self.vshift(op, self.mregs[src.index()][r], amount);
+                        vshift(op, self.mregs[src.index()][r], amount, width);
                 }
                 let e = match op {
                     VShiftOp::Sll(e) | VShiftOp::Srl(e) | VShiftOp::Sra(e) => e,
@@ -926,9 +719,9 @@ impl RefMachine {
                 *element_ops += (self.lanes(e) * self.vl) as u64;
             }
             Instr::MSplat { dst, src, esz } => {
-                let v = self.splat(self.iregs[src.index()] as u64, esz);
+                let v = splat(self.iregs[src.index()] as u64, esz, width);
                 for r in 0..self.vl {
-                    self.mregs[dst.index()][r] = v & self.word_mask();
+                    self.mregs[dst.index()][r] = v;
                 }
             }
             Instr::MMov { dst, src } => {
@@ -947,13 +740,7 @@ impl RefMachine {
                         ),
                     });
                 }
-                let mut rows = [0u128; MAX_VL];
-                for (r, out_row) in rows.iter_mut().enumerate().take(n) {
-                    for c in 0..n {
-                        *out_row =
-                            put_lane(*out_row, esz, c, lane_u(self.mregs[src.index()][c], esz, r));
-                    }
-                }
+                let rows = transpose(&self.mregs[src.index()], esz, width);
                 self.mregs[dst.index()][..n].copy_from_slice(&rows[..n]);
                 *element_ops += (n * n) as u64;
             }
@@ -961,14 +748,14 @@ impl RefMachine {
                 for r in 0..self.vl {
                     let av = self.mregs[a.index()][r];
                     let bv = self.mregs[b.index()][r];
-                    self.accumulate(op, acc.index(), av, bv);
+                    accumulate(op, &mut self.accs[acc.index()], av, bv, width);
                 }
                 *element_ops += (width * self.vl) as u64;
             }
             Instr::VAcc { op, acc, a, b } => {
                 let av = self.read_vloc(a);
                 let bv = self.read_vloc(b);
-                self.accumulate(op, acc.index(), av, bv);
+                accumulate(op, &mut self.accs[acc.index()], av, bv, width);
                 *element_ops += width as u64;
             }
             Instr::AccSum { rd, acc } => {
@@ -986,18 +773,7 @@ impl RefMachine {
                 sat,
                 shift,
             } => {
-                let lanes = width / 2;
-                let n = self.lanes(esz);
-                let mut out = 0u128;
-                for l in 0..lanes.min(n) {
-                    let v = self.accs[acc.index()][l] >> u32::from(shift).min(63);
-                    let packed = match sat {
-                        Sat::Wrap => (v as u64) & (u64::MAX >> (64 - esz.bits())),
-                        Sat::Signed => sat_s(i128::from(v), esz),
-                        Sat::Unsigned => sat_u(i128::from(v), esz),
-                    };
-                    out = put_lane(out, esz, l, packed);
-                }
+                let out = acc_pack(&self.accs[acc.index()], esz, sat, shift, width);
                 self.write_vloc(dst, out);
             }
         }
@@ -1006,7 +782,272 @@ impl RefMachine {
 }
 
 // ----------------------------------------------------------------------
-// Free per-lane helpers
+// Per-lane sub-word oracles (independent of `simdsim_emu::subword`)
+//
+// `RefMachine::step` calls these for every SIMD and matrix instruction, and
+// `tests/prop.rs` checks the emulator's SWAR and lane-array kernels
+// against them op by op, so the architecture has one per-lane definition.
+// Each takes the register width in bytes (8 or 16); only the low `width`
+// bytes of a word take part.
+// ----------------------------------------------------------------------
+
+/// The low `width` bytes of a word.
+fn word_mask(width: usize) -> u128 {
+    if width == 16 {
+        u128::MAX
+    } else {
+        (1u128 << (width * 8)) - 1
+    }
+}
+
+/// Applies a binary [`VOp`] lane by lane to two `width`-byte words.
+///
+/// # Panics
+///
+/// Panics on `pack` with byte source elements (not representable).
+#[must_use]
+pub fn vop(op: VOp, a: u128, b: u128, width: usize) -> u128 {
+    let r = match op {
+        VOp::Add(e) => map2_u(a, b, e, width, |x, y| (x + y) as u64),
+        VOp::AddS(e) => map2_i(a, b, e, width, |x, y| sat_s(x + y, e)),
+        VOp::AddU(e) => map2_u(a, b, e, width, |x, y| sat_u(x + y, e)),
+        VOp::Sub(e) => map2_u(a, b, e, width, |x, y| (x - y) as u64),
+        VOp::SubS(e) => map2_i(a, b, e, width, |x, y| sat_s(x - y, e)),
+        VOp::SubU(e) => map2_u(a, b, e, width, |x, y| sat_u(x - y, e)),
+        VOp::Mullo(e) => map2_i(a, b, e, width, |x, y| (x * y) as u64),
+        VOp::Mulhi(e) => map2_i(a, b, e, width, |x, y| ((x * y) >> e.bits()) as u64),
+        VOp::Madd => madd(a, b, width),
+        VOp::Sad => sad(a, b, width),
+        VOp::Avg(e) => map2_u(a, b, e, width, |x, y| ((x + y + 1) >> 1) as u64),
+        VOp::MinS(e) => map2_i(a, b, e, width, |x, y| x.min(y) as u64),
+        VOp::MinU(e) => map2_u(a, b, e, width, |x, y| x.min(y) as u64),
+        VOp::MaxS(e) => map2_i(a, b, e, width, |x, y| x.max(y) as u64),
+        VOp::MaxU(e) => map2_u(a, b, e, width, |x, y| x.max(y) as u64),
+        VOp::CmpEq(e) => map2_u(a, b, e, width, |x, y| if x == y { u64::MAX } else { 0 }),
+        VOp::CmpGt(e) => map2_i(a, b, e, width, |x, y| if x > y { u64::MAX } else { 0 }),
+        VOp::And => a & b,
+        VOp::Or => a | b,
+        VOp::Xor => a ^ b,
+        VOp::AndNot => a & !b,
+        VOp::PackS(e) => pack(a, b, e, width, false),
+        VOp::PackU(e) => pack(a, b, e, width, true),
+        VOp::UnpackLo(e) => unpack(a, b, e, width, false),
+        VOp::UnpackHi(e) => unpack(a, b, e, width, true),
+    };
+    r & word_mask(width)
+}
+
+/// Maps `f` over the `e`-sized lane pairs of `a` and `b`, each lane
+/// zero-extended (`map2_u`) or sign-extended (`map2_i`) to `i128`, so the
+/// arithmetic is exact; the result is truncated to the lane.
+fn map2_u(a: u128, b: u128, e: Esz, width: usize, f: impl Fn(i128, i128) -> u64) -> u128 {
+    let mut out = 0u128;
+    for l in 0..e.lanes(width * 8) {
+        let (x, y) = (i128::from(lane_u(a, e, l)), i128::from(lane_u(b, e, l)));
+        out = put_lane(out, e, l, f(x, y));
+    }
+    out
+}
+
+fn map2_i(a: u128, b: u128, e: Esz, width: usize, f: impl Fn(i128, i128) -> u64) -> u128 {
+    let mut out = 0u128;
+    for l in 0..e.lanes(width * 8) {
+        let (x, y) = (i128::from(lane_i(a, e, l)), i128::from(lane_i(b, e, l)));
+        out = put_lane(out, e, l, f(x, y));
+    }
+    out
+}
+
+/// `pmaddwd`: adjacent signed-16 products summed into 32-bit lanes.
+fn madd(a: u128, b: u128, width: usize) -> u128 {
+    let mut out = 0u128;
+    for l in 0..width / 4 {
+        let p0 = lane_i(a, Esz::H, 2 * l) * lane_i(b, Esz::H, 2 * l);
+        let p1 = lane_i(a, Esz::H, 2 * l + 1) * lane_i(b, Esz::H, 2 * l + 1);
+        // Products fit in i32, so wrapping i32 addition equals the
+        // truncated true sum.
+        let s = (p0 + p1) as i32;
+        out = put_lane(out, Esz::W, l, u64::from(s as u32));
+    }
+    out
+}
+
+/// `psadbw`: one 64-bit sum of byte absolute differences per 8-byte group.
+fn sad(a: u128, b: u128, width: usize) -> u128 {
+    let mut out = 0u128;
+    for g in 0..width / 8 {
+        let mut sum = 0u64;
+        for j in 0..8 {
+            let x = lane_u(a, Esz::B, g * 8 + j);
+            let y = lane_u(b, Esz::B, g * 8 + j);
+            sum += x.abs_diff(y);
+        }
+        out |= u128::from(sum) << (g * 64);
+    }
+    out
+}
+
+/// Pack both sources' `e`-sized elements into half-size elements
+/// with saturation: low lanes from `a`, high lanes from `b`.
+fn pack(a: u128, b: u128, e: Esz, width: usize, unsigned: bool) -> u128 {
+    let dst = match e {
+        Esz::B => panic!("cannot pack byte elements"),
+        Esz::H => Esz::B,
+        Esz::W => Esz::H,
+        Esz::D => Esz::W,
+    };
+    let n = e.lanes(width * 8);
+    let sat = |v: i64| -> u64 {
+        if unsigned {
+            sat_u(i128::from(v), dst)
+        } else {
+            sat_s(i128::from(v), dst)
+        }
+    };
+    let mut out = 0u128;
+    for l in 0..n {
+        out = put_lane(out, dst, l, sat(lane_i(a, e, l)));
+        out = put_lane(out, dst, n + l, sat(lane_i(b, e, l)));
+    }
+    out
+}
+
+/// Interleave the low (or high) halves of `a` and `b`.
+fn unpack(a: u128, b: u128, e: Esz, width: usize, hi: bool) -> u128 {
+    let half = e.lanes(width * 8) / 2;
+    let base = if hi { half } else { 0 };
+    let mut out = 0u128;
+    for l in 0..half {
+        out = put_lane(out, e, 2 * l, lane_u(a, e, base + l));
+        out = put_lane(out, e, 2 * l + 1, lane_u(b, e, base + l));
+    }
+    out
+}
+
+/// Applies an element-wise shift-by-immediate to a `width`-byte word.
+/// Amounts at or past the lane width clear the lane (logical shifts) or
+/// fill it with its sign (arithmetic shift).
+#[must_use]
+pub fn vshift(op: VShiftOp, a: u128, amount: u8, width: usize) -> u128 {
+    let (e, kind) = match op {
+        VShiftOp::Sll(e) => (e, 0u8),
+        VShiftOp::Srl(e) => (e, 1),
+        VShiftOp::Sra(e) => (e, 2),
+    };
+    let bits = e.bits() as u32;
+    let amt = u32::from(amount).min(bits);
+    let lane_mask = if bits == 64 {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
+    };
+    let mut out = 0u128;
+    for l in 0..e.lanes(width * 8) {
+        let v = lane_u(a, e, l);
+        let r = match kind {
+            0 => {
+                if amt >= bits {
+                    0
+                } else {
+                    (v << amt) & lane_mask
+                }
+            }
+            1 => {
+                if amt >= bits {
+                    0
+                } else {
+                    v >> amt
+                }
+            }
+            _ => {
+                let sh = amt.min(bits - 1);
+                ((lane_i(a, e, l) >> sh) as u64) & lane_mask
+            }
+        };
+        out = put_lane(out, e, l, r);
+    }
+    out & word_mask(width)
+}
+
+/// Broadcasts the low `e` bits of `v` to every lane of a `width`-byte word.
+#[must_use]
+pub fn splat(v: u64, e: Esz, width: usize) -> u128 {
+    let mut out = 0u128;
+    for l in 0..e.lanes(width * 8) {
+        out = put_lane(out, e, l, v);
+    }
+    out
+}
+
+/// Adds one register pair into accumulator `acc` (`MAcc` per row,
+/// `VAcc`): byte ops fold byte `j` into lane `j / 2`, halfword ops map
+/// lane to lane.  Only the `width / 2` live lanes change; sums wrap.
+pub fn accumulate(op: AccOp, acc: &mut [i64; 8], a: u128, b: u128, width: usize) {
+    match op {
+        AccOp::Sad => {
+            for j in 0..width {
+                let x = lane_u(a, Esz::B, j) as i64;
+                let y = lane_u(b, Esz::B, j) as i64;
+                acc[j / 2] = acc[j / 2].wrapping_add((x - y).abs());
+            }
+        }
+        AccOp::Ssd => {
+            for j in 0..width {
+                let x = lane_u(a, Esz::B, j) as i64;
+                let y = lane_u(b, Esz::B, j) as i64;
+                acc[j / 2] = acc[j / 2].wrapping_add((x - y).wrapping_mul(x - y));
+            }
+        }
+        AccOp::Mac => {
+            for (j, s) in acc.iter_mut().enumerate().take(width / 2) {
+                let p = lane_i(a, Esz::H, j).wrapping_mul(lane_i(b, Esz::H, j));
+                *s = s.wrapping_add(p);
+            }
+        }
+        AccOp::AddH => {
+            for (j, s) in acc.iter_mut().enumerate().take(width / 2) {
+                *s = s.wrapping_add(lane_i(a, Esz::H, j));
+            }
+        }
+    }
+}
+
+/// Transposes the square `n × n` matrix of `esz` elements held in
+/// `src[..n]`, where `n = width / esz.bytes()` (`MTranspose`).  Returns
+/// the `n` transposed rows, zero beyond.
+#[must_use]
+pub fn transpose(src: &[u128], esz: Esz, width: usize) -> [u128; MAX_VL] {
+    let n = width / esz.bytes();
+    let mut rows = [0u128; MAX_VL];
+    for (r, out_row) in rows.iter_mut().enumerate().take(n) {
+        for (c, &col) in src[..n].iter().enumerate() {
+            *out_row = put_lane(*out_row, esz, c, lane_u(col, esz, r));
+        }
+    }
+    rows
+}
+
+/// Packs accumulator `acc` into a `width`-byte word (`AccPack`): each of
+/// the first `min(width / 2, lanes of esz)` lanes is shifted right by
+/// `shift` and narrowed to `esz` per `sat`; the rest of the word is zero.
+#[must_use]
+pub fn acc_pack(acc: &[i64; 8], esz: Esz, sat: Sat, shift: u8, width: usize) -> u128 {
+    let lanes = (width / 2).min(esz.lanes(width * 8));
+    let mut out = 0u128;
+    for (l, &a) in acc.iter().enumerate().take(lanes) {
+        let v = a >> u32::from(shift).min(63);
+        let packed = match sat {
+            Sat::Wrap => (v as u64) & (u64::MAX >> (64 - esz.bits())),
+            Sat::Signed => sat_s(i128::from(v), esz),
+            Sat::Unsigned => sat_u(i128::from(v), esz),
+        };
+        out = put_lane(out, esz, l, packed);
+    }
+    out
+}
+
+// ----------------------------------------------------------------------
+// Lane access and saturation
 // ----------------------------------------------------------------------
 
 fn lane_u(word: u128, e: Esz, l: usize) -> u64 {

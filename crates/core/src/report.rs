@@ -377,11 +377,6 @@ pub fn render_server_stats(s: &simdsim_serve::MetricsSnapshot) -> String {
         s.sim_wall_seconds,
         s.simulated_mips(),
     );
-    let _ = writeln!(
-        out,
-        "blocks: {} predecoded, {} fused hits, {} side exits",
-        s.sim_blocks_cached, s.sim_block_hits, s.sim_side_exits,
-    );
     out
 }
 

@@ -5,7 +5,7 @@ use crate::trace::{DynInstr, MemAccess, TraceSink};
 use crate::EmuError;
 use simdsim_isa::{
     AluOp, ClassCounts, Decoded, DecodedInstr, Ext, FOp, Instr, MOperand, MemSz, Operand2, Program,
-    Region, VLoc, MAX_BLOCK_LEN, MAX_VL, NO_BLOCK,
+    Region, VLoc, MAX_VL,
 };
 
 /// Architectural statistics of one emulated run.
@@ -22,24 +22,16 @@ pub struct RunStats {
     /// Total sub-word element operations performed by vector-arithmetic
     /// instructions (a measure of exploited DLP).
     pub element_ops: u64,
-    /// Superblocks discovered for the program (static block-cache size).
-    pub blocks_cached: u64,
-    /// Superblocks delivered whole to the sink (fast-path block commits).
-    pub block_hits: u64,
-    /// Blocks delivered partially (run stopped mid-block on a fault or
-    /// the instruction limit, or entry off a block leader).
-    pub side_exits: u64,
 }
 
 /// Per-committed-instruction observer for conformance checking.
 ///
-/// Unlike [`TraceSink`], which receives whole superblocks after they
-/// retire (and therefore cannot see intermediate architectural state),
-/// an observer is called synchronously after every committed
-/// instruction, while the machine still holds the state that
-/// instruction produced.  The differential tester (`simdsim-conform`)
-/// samples the registers an instruction defines here and compares them
-/// against the reference interpreter's effects trace.
+/// A [`TraceSink`] sees only the dynamic record of each instruction.  An
+/// observer is called just before the sink, with the machine itself,
+/// while it still holds the state that instruction produced.  The
+/// differential tester (`simdsim-conform`) samples the registers an
+/// instruction defines here and compares them against the reference
+/// interpreter's effects trace.
 ///
 /// The default entry points use [`NoObserver`], which monomorphizes the
 /// hot loop back to the unobserved code, so timing-model callers pay
@@ -379,23 +371,6 @@ impl Machine {
         self.run_decoded(&prog.decode(), sink, max_instrs)
     }
 
-    /// [`Machine::run`] with a per-step [`StepObserver`] for conformance
-    /// checking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmuError`] on validation failure, illegal instructions,
-    /// out-of-bounds accesses, or when `max_instrs` is exceeded.
-    pub fn run_observed(
-        &mut self,
-        prog: &Program,
-        sink: &mut impl TraceSink,
-        max_instrs: u64,
-        obs: &mut impl StepObserver,
-    ) -> Result<RunStats, EmuError> {
-        self.run_decoded_observed(&prog.decode(), sink, max_instrs, obs)
-    }
-
     /// Runs a predecoded program from instruction 0 until `Halt` (or
     /// falling off the end), streaming every committed instruction into
     /// `sink` together with its predecoded metadata.
@@ -418,10 +393,14 @@ impl Machine {
     }
 
     /// [`Machine::run_decoded`] with a per-step [`StepObserver`] for
-    /// conformance checking.  The observer fires after every committed
-    /// instruction in both the block and the per-instruction paths,
-    /// before control transfers; the trace streamed to `sink` is
-    /// identical to the unobserved run.
+    /// conformance checking.  This is the one step loop: fetch the
+    /// predecoded entry at `pc`, execute it, let the observer sample the
+    /// post-instruction state, push the record to `sink` and account it.
+    /// The trace streamed to `sink` is identical to the unobserved run.
+    ///
+    /// On an error the sink has already received every instruction that
+    /// committed before it (exactly `max_instrs` of them for
+    /// [`EmuError::InstrLimit`]); the statistics are dropped.
     ///
     /// # Errors
     ///
@@ -437,97 +416,37 @@ impl Machine {
         dec.validate(self.ext.is_matrix())
             .map_err(EmuError::Validation)?;
         let table = dec.instrs();
-        let blocks = dec.blocks();
-        let mut stats = RunStats {
-            blocks_cached: blocks.len() as u64,
-            ..RunStats::default()
-        };
+        let mut stats = RunStats::default();
         let mut pc: u32 = 0;
-        let mut buf: Vec<DynInstr> = Vec::with_capacity(MAX_BLOCK_LEN);
-
-        'run: while (pc as usize) < table.len() {
-            let bidx = dec.block_idx_at(pc as usize);
-            if bidx == NO_BLOCK {
-                // Control flow always lands on a block leader (targets,
-                // fall-throughs and split points all start blocks), so
-                // this per-instruction path only guards hand-built
-                // `Decoded` tables.
-                if stats.dyn_instrs >= max_instrs {
-                    return Err(EmuError::InstrLimit { limit: max_instrs });
-                }
-                let d = &table[pc as usize];
-                let mut taken: Option<u32> = None;
-                let mut mem: Option<MemAccess> = None;
-                let mut halted = false;
-                self.execute(d.instr, pc, &mut taken, &mut mem, &mut halted, &mut stats)?;
-                let di = DynInstr {
-                    pc,
-                    instr: d.instr,
-                    region: d.region,
-                    taken,
-                    mem,
-                    vl: if d.is_full_vl { self.vl as u8 } else { 1 },
-                };
-                obs.step(self, &di);
-                sink.push(&di, d);
-                Self::account(&mut stats, d);
-                stats.side_exits += 1;
-                if halted {
-                    break;
-                }
-                pc = taken.unwrap_or(pc + 1);
-                continue;
+        while let Some(d) = table.get(pc as usize) {
+            if stats.dyn_instrs >= max_instrs {
+                return Err(EmuError::InstrLimit { limit: max_instrs });
             }
-
-            let block = &blocks[bidx as usize];
-            let start = block.start;
-            let decs = &table[start as usize..(start + block.len) as usize];
-            buf.clear();
-            for (rel, d) in decs.iter().enumerate() {
-                if stats.dyn_instrs >= max_instrs {
-                    // Deliver the committed prefix before bailing so the
-                    // sink sees the same stream the per-instruction path
-                    // produced (stats are dropped with the error).
-                    sink.push_block(&buf, decs, block);
-                    return Err(EmuError::InstrLimit { limit: max_instrs });
-                }
-                let ipc = start + rel as u32;
-                let mut taken: Option<u32> = None;
-                let mut mem: Option<MemAccess> = None;
-                let mut halted = false;
-                if let Err(e) =
-                    self.execute(d.instr, ipc, &mut taken, &mut mem, &mut halted, &mut stats)
-                {
-                    sink.push_block(&buf, decs, block);
-                    return Err(e);
-                }
-                let di = DynInstr {
-                    pc: ipc,
-                    instr: d.instr,
-                    region: d.region,
-                    taken,
-                    mem,
-                    vl: if d.is_full_vl { self.vl as u8 } else { 1 },
-                };
-                obs.step(self, &di);
-                buf.push(di);
-                Self::account(&mut stats, d);
-                pc = taken.unwrap_or(ipc + 1);
-                if halted {
-                    // `halt` ends its block, so the buffer is complete.
-                    stats.block_hits += 1;
-                    sink.push_block(&buf, decs, block);
-                    break 'run;
-                }
+            let mut taken: Option<u32> = None;
+            let mut mem: Option<MemAccess> = None;
+            let mut halted = false;
+            self.execute(d.instr, pc, &mut taken, &mut mem, &mut halted, &mut stats)?;
+            let di = DynInstr {
+                pc,
+                instr: d.instr,
+                region: d.region,
+                taken,
+                mem,
+                vl: if d.is_full_vl { self.vl as u8 } else { 1 },
+            };
+            obs.step(self, &di);
+            sink.push(&di, d);
+            Self::account(&mut stats, d);
+            if halted {
+                break;
             }
-            stats.block_hits += 1;
-            sink.push_block(&buf, decs, block);
+            pc = taken.unwrap_or(pc + 1);
         }
         Ok(stats)
     }
 
-    /// Per-committed-instruction statistics bookkeeping shared by the
-    /// block and per-instruction paths.
+    /// Counts one committed instruction into `stats`: the dynamic total,
+    /// its Figure-7 class and its region.
     #[inline]
     fn account(stats: &mut RunStats, d: &DecodedInstr) {
         stats.dyn_instrs += 1;

@@ -20,8 +20,9 @@
 //!   and join it back.  64-bit lanes (rare: data movement and wide sums)
 //!   are the two `u64` halves themselves.
 //!
-//! The original per-lane loops live on only as the differential oracles
-//! in [`scalar_ref`] (`tests/prop.rs` checks every fast path against them).
+//! The per-lane definition of every op lives in `simdsim-conform`'s
+//! reference interpreter; its `tests/prop.rs` checks every fast path
+//! here against those oracle functions.
 
 use simdsim_isa::{AccOp, Esz, Sat, VOp, VShiftOp, MAX_VL};
 
@@ -588,272 +589,6 @@ pub fn splat(v: u64, esz: Esz, width: usize) -> u128 {
     (((v as u128) & esz.lane_mask()) * lsb_ones(esz)) & low_bits(width * 8)
 }
 
-/// The original per-lane reference implementations, kept verbatim as the
-/// differential oracles for the SWAR and lane-array fast paths
-/// (`tests/prop.rs` drives every public op against its reference across
-/// every `Esz` × op × width combination).  Nothing here calls back into
-/// the fast paths.
-#[cfg(any(test, feature = "scalar-ref"))]
-pub mod scalar_ref {
-    use super::*;
-
-    fn lanewise(a: u128, b: u128, esz: Esz, width: usize, f: impl Fn(i64, i64) -> u64) -> u128 {
-        let n = esz.lanes(width * 8);
-        let mut out = 0u128;
-        for l in 0..n {
-            let r = f(get_lane_i(a, esz, l), get_lane_i(b, esz, l));
-            out = set_lane(out, esz, l, r);
-        }
-        out
-    }
-
-    fn lanewise_u(a: u128, b: u128, esz: Esz, width: usize, f: impl Fn(u64, u64) -> u64) -> u128 {
-        let n = esz.lanes(width * 8);
-        let mut out = 0u128;
-        for l in 0..n {
-            let r = f(get_lane_u(a, esz, l), get_lane_u(b, esz, l));
-            out = set_lane(out, esz, l, r);
-        }
-        out
-    }
-
-    /// Per-lane reference for [`super::madd`].
-    #[must_use]
-    pub fn madd(a: u128, b: u128, width: usize) -> u128 {
-        let mut out = 0u128;
-        for l in 0..width / 4 {
-            let p0 = get_lane_i(a, Esz::H, 2 * l) * get_lane_i(b, Esz::H, 2 * l);
-            let p1 = get_lane_i(a, Esz::H, 2 * l + 1) * get_lane_i(b, Esz::H, 2 * l + 1);
-            let s = (p0 as i32).wrapping_add(p1 as i32);
-            out = set_lane(out, Esz::W, l, s as u32 as u64);
-        }
-        out
-    }
-
-    /// Per-lane reference for [`super::pack`].
-    #[must_use]
-    pub fn pack(a: u128, b: u128, esz: Esz, width: usize, unsigned: bool) -> u128 {
-        let dst = match esz {
-            Esz::H => Esz::B,
-            Esz::W => Esz::H,
-            Esz::D => Esz::W,
-            Esz::B => panic!("cannot pack byte elements"),
-        };
-        let n = esz.lanes(width * 8);
-        let mut out = 0u128;
-        for l in 0..n {
-            let v = get_lane_i(a, esz, l);
-            let r = if unsigned {
-                sat_u(v, dst)
-            } else {
-                sat_s(v, dst)
-            };
-            out = set_lane(out, dst, l, r);
-        }
-        for l in 0..n {
-            let v = get_lane_i(b, esz, l);
-            let r = if unsigned {
-                sat_u(v, dst)
-            } else {
-                sat_s(v, dst)
-            };
-            out = set_lane(out, dst, n + l, r);
-        }
-        out
-    }
-
-    /// Per-lane reference for [`super::unpack`].
-    #[must_use]
-    pub fn unpack(a: u128, b: u128, esz: Esz, width: usize, hi: bool) -> u128 {
-        let n = esz.lanes(width * 8);
-        let half = n / 2;
-        let base = if hi { half } else { 0 };
-        let mut out = 0u128;
-        for l in 0..half {
-            out = set_lane(out, esz, 2 * l, get_lane_u(a, esz, base + l));
-            out = set_lane(out, esz, 2 * l + 1, get_lane_u(b, esz, base + l));
-        }
-        out
-    }
-
-    /// Per-lane reference for [`super::accumulate`].
-    pub fn accumulate(op: AccOp, acc: &mut [i64; 8], a: u128, b: u128, width: usize) {
-        match op {
-            AccOp::Sad => {
-                for j in 0..width {
-                    let x = get_lane_u(a, Esz::B, j) as i64;
-                    let y = get_lane_u(b, Esz::B, j) as i64;
-                    acc[j / 2] += (x - y).abs();
-                }
-            }
-            AccOp::Ssd => {
-                for j in 0..width {
-                    let x = get_lane_u(a, Esz::B, j) as i64;
-                    let y = get_lane_u(b, Esz::B, j) as i64;
-                    acc[j / 2] += (x - y) * (x - y);
-                }
-            }
-            AccOp::Mac => {
-                for (j, s) in acc.iter_mut().enumerate().take(width / 2) {
-                    let x = get_lane_i(a, Esz::H, j);
-                    let y = get_lane_i(b, Esz::H, j);
-                    *s += x * y;
-                }
-            }
-            AccOp::AddH => {
-                for (j, s) in acc.iter_mut().enumerate().take(width / 2) {
-                    *s += get_lane_i(a, Esz::H, j);
-                }
-            }
-        }
-    }
-
-    /// Per-lane reference for [`super::acc_pack`].
-    #[must_use]
-    pub fn acc_pack(acc: &[i64; 8], esz: Esz, sat: Sat, shift: u8, width: usize) -> u128 {
-        let lanes = width / 2;
-        let n = esz.lanes(width * 8);
-        let mut out = 0u128;
-        for (l, &a) in acc.iter().enumerate().take(lanes.min(n)) {
-            let v = a >> shift;
-            let r = match sat {
-                Sat::Wrap => (v as u64) & (u64::MAX >> (64 - esz.bits())),
-                Sat::Signed => sat_s(v, esz),
-                Sat::Unsigned => sat_u(v, esz),
-            };
-            out = set_lane(out, esz, l, r);
-        }
-        out
-    }
-
-    /// Per-lane reference for [`super::transpose`].
-    #[must_use]
-    pub fn transpose(src: &[u128], esz: Esz) -> [u128; MAX_VL] {
-        let n = src.len();
-        let mut rows = [0u128; MAX_VL];
-        for (r, row) in rows.iter_mut().enumerate().take(n) {
-            let mut w = 0u128;
-            for (c, &col) in src.iter().enumerate() {
-                let v = get_lane_u(col, esz, r);
-                w = set_lane(w, esz, c, v);
-            }
-            *row = w;
-        }
-        rows
-    }
-
-    /// Per-lane reference for [`super::sad`].
-    #[must_use]
-    pub fn sad(a: u128, b: u128, width: usize) -> u128 {
-        let mut out = 0u128;
-        for g in 0..width / 8 {
-            let mut sum = 0u64;
-            for j in 0..8 {
-                let l = g * 8 + j;
-                let x = get_lane_u(a, Esz::B, l) as i64;
-                let y = get_lane_u(b, Esz::B, l) as i64;
-                sum += x.abs_diff(y);
-            }
-            out |= (sum as u128) << (g * 64);
-        }
-        out
-    }
-
-    /// Per-lane reference for [`super::apply_vop`].
-    #[must_use]
-    pub fn apply_vop(op: VOp, a: u128, b: u128, width: usize) -> u128 {
-        let mask: u128 = if width == 16 {
-            u128::MAX
-        } else {
-            (1u128 << (width * 8)) - 1
-        };
-        let r = match op {
-            VOp::Add(e) => lanewise_u(a, b, e, width, |x, y| x.wrapping_add(y)),
-            VOp::AddS(e) => lanewise(a, b, e, width, |x, y| sat_s(x + y, e)),
-            VOp::AddU(e) => lanewise_u(a, b, e, width, |x, y| sat_u((x + y) as i64, e)),
-            VOp::Sub(e) => lanewise_u(a, b, e, width, |x, y| x.wrapping_sub(y)),
-            VOp::SubS(e) => lanewise(a, b, e, width, |x, y| sat_s(x - y, e)),
-            VOp::SubU(e) => lanewise_u(a, b, e, width, |x, y| sat_u(x as i64 - y as i64, e)),
-            VOp::Mullo(e) => lanewise(a, b, e, width, |x, y| (x.wrapping_mul(y)) as u64),
-            VOp::Mulhi(e) => lanewise(a, b, e, width, |x, y| ((x * y) >> e.bits()) as u64),
-            VOp::Madd => madd(a, b, width),
-            VOp::Sad => sad(a, b, width),
-            VOp::Avg(e) => lanewise_u(a, b, e, width, |x, y| (x + y + 1) >> 1),
-            VOp::MinS(e) => lanewise(a, b, e, width, |x, y| x.min(y) as u64),
-            VOp::MinU(e) => lanewise_u(a, b, e, width, |x, y| x.min(y)),
-            VOp::MaxS(e) => lanewise(a, b, e, width, |x, y| x.max(y) as u64),
-            VOp::MaxU(e) => lanewise_u(a, b, e, width, |x, y| x.max(y)),
-            VOp::CmpEq(e) => lanewise_u(a, b, e, width, |x, y| if x == y { u64::MAX } else { 0 }),
-            VOp::CmpGt(e) => lanewise(a, b, e, width, |x, y| if x > y { u64::MAX } else { 0 }),
-            VOp::And => a & b,
-            VOp::Or => a | b,
-            VOp::Xor => a ^ b,
-            VOp::AndNot => a & !b,
-            VOp::PackS(e) => pack(a, b, e, width, false),
-            VOp::PackU(e) => pack(a, b, e, width, true),
-            VOp::UnpackLo(e) => unpack(a, b, e, width, false),
-            VOp::UnpackHi(e) => unpack(a, b, e, width, true),
-        };
-        r & mask
-    }
-
-    /// Per-lane reference for [`super::apply_shift`].
-    #[must_use]
-    pub fn apply_shift(op: VShiftOp, a: u128, amount: u8, width: usize) -> u128 {
-        let mask: u128 = if width == 16 {
-            u128::MAX
-        } else {
-            (1u128 << (width * 8)) - 1
-        };
-        let (esz, kind) = match op {
-            VShiftOp::Sll(e) => (e, 0),
-            VShiftOp::Srl(e) => (e, 1),
-            VShiftOp::Sra(e) => (e, 2),
-        };
-        let bits = esz.bits() as u32;
-        let amt = (amount as u32).min(bits); // shifting by >= width clears (or fills with sign)
-        let n = esz.lanes(width * 8);
-        let mut out = 0u128;
-        for l in 0..n {
-            let v = get_lane_u(a, esz, l);
-            let r = match kind {
-                0 => {
-                    if amt >= bits {
-                        0
-                    } else {
-                        (v << amt) & (u64::MAX >> (64 - bits))
-                    }
-                }
-                1 => {
-                    if amt >= bits {
-                        0
-                    } else {
-                        v >> amt
-                    }
-                }
-                _ => {
-                    let s = get_lane_i(a, esz, l);
-                    let sh = amt.min(bits - 1);
-                    ((s >> sh) as u64) & (u64::MAX >> (64 - bits))
-                }
-            };
-            out = set_lane(out, esz, l, r);
-        }
-        out & mask
-    }
-
-    /// Per-lane reference for [`super::splat`].
-    #[must_use]
-    pub fn splat(v: u64, esz: Esz, width: usize) -> u128 {
-        let n = esz.lanes(width * 8);
-        let mut out = 0u128;
-        for l in 0..n {
-            out = set_lane(out, esz, l, v);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -947,106 +682,5 @@ mod tests {
         let a = u128::MAX;
         let r = apply_vop(VOp::Add(Esz::B), a, 0, 8);
         assert_eq!(r >> 64, 0);
-    }
-
-    #[test]
-    fn swar_matches_scalar_spot_checks() {
-        // Deterministic spot checks; the exhaustive sweep lives in
-        // tests/prop.rs.
-        let a: u128 = 0x8000_7fff_0001_fffe_80ff_0100_7f80_01ff;
-        let b: u128 = 0x7fff_8001_ffff_0002_01ff_80fe_ff00_8080;
-        for e in [Esz::B, Esz::H, Esz::W] {
-            for op in [
-                VOp::Add(e),
-                VOp::Sub(e),
-                VOp::AddS(e),
-                VOp::SubS(e),
-                VOp::AddU(e),
-                VOp::SubU(e),
-                VOp::Avg(e),
-                VOp::MinS(e),
-                VOp::MaxS(e),
-                VOp::MinU(e),
-                VOp::MaxU(e),
-                VOp::CmpEq(e),
-                VOp::CmpGt(e),
-            ] {
-                for width in [8usize, 16] {
-                    assert_eq!(
-                        apply_vop(op, a, b, width),
-                        scalar_ref::apply_vop(op, a, b, width),
-                        "{op:?} width {width}"
-                    );
-                }
-            }
-        }
-        assert_eq!(sad(a, b, 16), scalar_ref::sad(a, b, 16));
-        assert_eq!(sad(a, b, 8), scalar_ref::sad(a, b, 8));
-    }
-
-    #[test]
-    fn lane_array_ops_match_scalar_spot_checks() {
-        // Boundary lanes (0x7f.., 0x80.., all-ones, ±1) in every size.
-        let a: u128 = 0x8000_7fff_0001_fffe_80ff_0100_7f80_01ff;
-        let b: u128 = 0x7fff_8001_ffff_0002_01ff_80fe_ff00_8080;
-        for width in [8usize, 16] {
-            for e in [Esz::B, Esz::H, Esz::W, Esz::D] {
-                let mut ops = vec![VOp::Mullo(e), VOp::UnpackLo(e), VOp::UnpackHi(e)];
-                if e != Esz::D {
-                    ops.push(VOp::Mulhi(e));
-                }
-                if e != Esz::B {
-                    ops.extend([VOp::PackS(e), VOp::PackU(e)]);
-                }
-                for op in ops {
-                    assert_eq!(
-                        apply_vop(op, a, b, width),
-                        scalar_ref::apply_vop(op, a, b, width),
-                        "{op:?} width {width}"
-                    );
-                }
-                let rows = [a, b, a ^ b, !a, b.rotate_left(8), a.rotate_right(16), 0, !0];
-                let m = &rows[..(width / e.bytes()).min(rows.len())];
-                if m.len() == width / e.bytes() {
-                    assert_eq!(transpose(m, e), scalar_ref::transpose(m, e), "{e:?}");
-                }
-                let acc = [i64::MIN, -129, -1, 0, 1, 255, 0x8000, i64::MAX];
-                for sat in [Sat::Wrap, Sat::Signed, Sat::Unsigned] {
-                    assert_eq!(
-                        acc_pack(&acc, e, sat, 1, width),
-                        scalar_ref::acc_pack(&acc, e, sat, 1, width),
-                        "{e:?} {sat:?} width {width}"
-                    );
-                }
-            }
-            assert_eq!(madd(a, b, width), scalar_ref::madd(a, b, width));
-            // (-2^15)² + (-2^15)² = 2^31 wraps to i32::MIN.
-            let min = splat(0x8000, Esz::H, width);
-            assert_eq!(madd(min, min, width), splat(0x8000_0000, Esz::W, width));
-            for op in [AccOp::Sad, AccOp::Ssd, AccOp::Mac, AccOp::AddH] {
-                let (mut fast, mut slow) = ([7i64; 8], [7i64; 8]);
-                accumulate(op, &mut fast, a, b, width);
-                scalar_ref::accumulate(op, &mut slow, a, b, width);
-                assert_eq!(fast, slow, "{op:?} width {width}");
-            }
-        }
-    }
-
-    #[test]
-    fn swar_shift_matches_scalar_all_amounts() {
-        let a: u128 = 0x8000_7fff_0001_fffe_80ff_0100_7f80_01ff;
-        for e in [Esz::B, Esz::H, Esz::W, Esz::D] {
-            for amt in 0..=(e.bits() as u8 + 2) {
-                for op in [VShiftOp::Sll(e), VShiftOp::Srl(e), VShiftOp::Sra(e)] {
-                    for width in [8usize, 16] {
-                        assert_eq!(
-                            apply_shift(op, a, amt, width),
-                            scalar_ref::apply_shift(op, a, amt, width),
-                            "{op:?} amt {amt} width {width}"
-                        );
-                    }
-                }
-            }
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Dynamic instruction records streamed from the emulator to consumers
 //! (the timing model, statistics collectors, debuggers).
 
-use simdsim_isa::{DecodedBlock, DecodedInstr, Instr, Region};
+use simdsim_isa::{DecodedInstr, Instr, Region};
 
 /// One memory access performed by a dynamic instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,28 +63,6 @@ pub struct DynInstr {
 pub trait TraceSink {
     /// Called once per committed dynamic instruction.
     fn push(&mut self, di: &DynInstr, dec: &DecodedInstr);
-
-    /// Called once per executed superblock with the committed dynamic
-    /// instructions of the block in program order.
-    ///
-    /// `decs` holds the predecoded metadata of the *whole* block
-    /// (`block.len` entries starting at `block.start`); `dis` is the
-    /// prefix that actually committed — shorter than `decs` when the run
-    /// stopped mid-block (instruction limit, fault).  `dis[i]` pairs with
-    /// `decs[i]`.
-    ///
-    /// The default implementation replays the block through [`push`]
-    /// one instruction at a time, so sinks that don't care about block
-    /// granularity need not override it.  Sinks overriding it must be
-    /// observationally identical to the default.
-    ///
-    /// [`push`]: TraceSink::push
-    fn push_block(&mut self, dis: &[DynInstr], decs: &[DecodedInstr], block: &DecodedBlock) {
-        let _ = block;
-        for (di, dec) in dis.iter().zip(decs) {
-            self.push(di, dec);
-        }
-    }
 }
 
 /// A sink that discards the stream (functional-only runs).
@@ -106,18 +84,6 @@ pub struct VecSink {
 impl TraceSink for VecSink {
     fn push(&mut self, di: &DynInstr, _dec: &DecodedInstr) {
         self.trace.push(*di);
-    }
-}
-
-impl<T: TraceSink + ?Sized> TraceSink for &mut T {
-    fn push(&mut self, di: &DynInstr, dec: &DecodedInstr) {
-        (**self).push(di, dec);
-    }
-
-    // Forward explicitly so an overridden `push_block` on `T` is not
-    // bypassed by the trait's default per-instruction replay.
-    fn push_block(&mut self, dis: &[DynInstr], decs: &[DecodedInstr], block: &DecodedBlock) {
-        (**self).push_block(dis, decs, block);
     }
 }
 

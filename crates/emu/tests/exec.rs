@@ -194,13 +194,20 @@ fn out_of_bounds_reported() {
     let mut asm = Asm::new();
     let p = asm.arg(0);
     let t = asm.ireg();
+    asm.li(t, 7);
+    asm.addi(t, t, 1);
     asm.ld(t, p, 0);
     asm.halt();
     let prog = asm.finish();
     let mut m = Machine::new(Ext::Mmx64, 64);
     m.set_ireg(0, 1 << 30);
-    let err = m.run(&prog, &mut NullSink, 10).unwrap_err();
-    assert!(matches!(err, EmuError::OutOfBounds { .. }));
+    let mut sink = VecSink::default();
+    let err = m.run(&prog, &mut sink, 10).unwrap_err();
+    assert!(matches!(err, EmuError::OutOfBounds { pc: 2, .. }));
+    // The sink holds exactly the committed prefix: the two instructions
+    // before the faulting load, and not the load itself.
+    let pcs: Vec<u32> = sink.trace.iter().map(|d| d.pc).collect();
+    assert_eq!(pcs, [0, 1]);
 }
 
 #[test]
@@ -211,8 +218,11 @@ fn instr_limit_guards_runaway() {
     asm.jump(l);
     let prog = asm.finish();
     let mut m = Machine::new(Ext::Mmx64, 64);
-    let err = m.run(&prog, &mut NullSink, 100).unwrap_err();
+    let mut sink = VecSink::default();
+    let err = m.run(&prog, &mut sink, 100).unwrap_err();
     assert!(matches!(err, EmuError::InstrLimit { limit: 100 }));
+    // Every instruction that committed before the limit reached the sink.
+    assert_eq!(sink.trace.len(), 100);
 }
 
 #[test]

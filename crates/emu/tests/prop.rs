@@ -1,73 +1,17 @@
 //! Property-based tests of the sub-word semantics and the emulator —
-//! the ground truth every kernel correctness test rests on.
+//! the ground truth every kernel correctness test rests on.  The
+//! op-by-op comparison of every sub-word kernel against the reference
+//! interpreter's per-lane oracle lives in `simdsim-conform`'s
+//! `tests/prop.rs`.
 
 use proptest::prelude::*;
 use simdsim_asm::Asm;
-use simdsim_emu::subword::{
-    acc_pack, accumulate, apply_shift, apply_vop, get_lane_i, get_lane_u, madd, pack, sad,
-    scalar_ref, set_lane, splat, transpose, unpack,
-};
+use simdsim_emu::subword::{apply_shift, apply_vop, get_lane_i, get_lane_u, sad, set_lane, splat};
 use simdsim_emu::{Machine, NullSink};
-use simdsim_isa::{AccOp, AluOp, Esz, Ext, Sat, VOp, VShiftOp};
-
-const ALL_ESZ: [Esz; 4] = [Esz::B, Esz::H, Esz::W, Esz::D];
+use simdsim_isa::{AluOp, Esz, Ext, VOp, VShiftOp};
 
 fn esz_strategy() -> impl Strategy<Value = Esz> {
     prop_oneof![Just(Esz::B), Just(Esz::H), Just(Esz::W)]
-}
-
-/// Every [`VOp`] that is total for `esz` in the scalar ground-truth model.
-/// 64-bit saturating / averaging / high-multiply lanes route their exact
-/// math through `i64` intermediates and are undefined on overflow (they
-/// never appear in generated code), so they are excluded for `Esz::D`.
-fn vops_for(esz: Esz) -> Vec<VOp> {
-    let mut ops = vec![
-        VOp::Add(esz),
-        VOp::Sub(esz),
-        VOp::Mullo(esz),
-        VOp::MinS(esz),
-        VOp::MinU(esz),
-        VOp::MaxS(esz),
-        VOp::MaxU(esz),
-        VOp::CmpEq(esz),
-        VOp::CmpGt(esz),
-        VOp::And,
-        VOp::Or,
-        VOp::Xor,
-        VOp::AndNot,
-        VOp::Madd,
-        VOp::Sad,
-        VOp::UnpackLo(esz),
-        VOp::UnpackHi(esz),
-    ];
-    if esz != Esz::D {
-        ops.extend([
-            VOp::AddS(esz),
-            VOp::AddU(esz),
-            VOp::SubS(esz),
-            VOp::SubU(esz),
-            VOp::Mulhi(esz),
-            VOp::Avg(esz),
-        ]);
-    }
-    if esz != Esz::B {
-        ops.extend([VOp::PackS(esz), VOp::PackU(esz)]);
-    }
-    ops
-}
-
-/// Scales every lane of `w` down to about twice the range of the
-/// half-size element, so narrowing ops see in-range and saturating lanes
-/// alike (uniform words almost always saturate).
-fn near_half_range(w: u128, esz: Esz) -> u128 {
-    (0..esz.lanes(128)).fold(0, |out, l| {
-        set_lane(
-            out,
-            esz,
-            l,
-            (get_lane_i(w, esz, l) >> (esz.bits() / 2 - 1)) as u64,
-        )
-    })
 }
 
 proptest! {
@@ -172,174 +116,6 @@ proptest! {
         let mask = u64::MAX >> (64 - esz.bits());
         for l in 0..esz.lanes(128) {
             prop_assert_eq!(get_lane_u(w, esz, l), v & mask);
-        }
-    }
-
-    #[test]
-    fn vops_match_scalar_reference(a in any::<u128>(), b in any::<u128>()) {
-        // The SWAR fast paths must be bit-identical to the per-lane
-        // reference for every element size, opcode and register width.
-        for esz in [Esz::B, Esz::H, Esz::W, Esz::D] {
-            for op in vops_for(esz) {
-                for width in [8usize, 16] {
-                    prop_assert_eq!(
-                        apply_vop(op, a, b, width),
-                        scalar_ref::apply_vop(op, a, b, width),
-                        "op {:?} width {}",
-                        op,
-                        width
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shifts_match_scalar_reference(a in any::<u128>(), amt in any::<u8>()) {
-        for esz in [Esz::B, Esz::H, Esz::W, Esz::D] {
-            for op in [VShiftOp::Sll(esz), VShiftOp::Srl(esz), VShiftOp::Sra(esz)] {
-                for width in [8usize, 16] {
-                    // Full-range amounts plus the in-range remainder, so the
-                    // saturating >= bits behaviour and every lane-internal
-                    // amount both get exercised.
-                    for a_eff in [amt, amt % (esz.bits() as u8)] {
-                        prop_assert_eq!(
-                            apply_shift(op, a, a_eff, width),
-                            scalar_ref::apply_shift(op, a, a_eff, width),
-                            "op {:?} amt {} width {}",
-                            op,
-                            a_eff,
-                            width
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn splat_matches_scalar_reference(v in any::<u64>()) {
-        for esz in [Esz::B, Esz::H, Esz::W, Esz::D] {
-            for width in [8usize, 16] {
-                prop_assert_eq!(
-                    splat(v, esz, width),
-                    scalar_ref::splat(v, esz, width),
-                    "esz {:?} width {}",
-                    esz,
-                    width
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sad_matches_scalar_reference(a in any::<u128>(), b in any::<u128>()) {
-        for width in [8usize, 16] {
-            prop_assert_eq!(sad(a, b, width), scalar_ref::sad(a, b, width));
-        }
-    }
-
-    #[test]
-    fn madd_and_unpack_match_scalar_reference(a in any::<u128>(), b in any::<u128>()) {
-        for width in [8usize, 16] {
-            prop_assert_eq!(madd(a, b, width), scalar_ref::madd(a, b, width), "width {}", width);
-            for esz in ALL_ESZ {
-                for hi in [false, true] {
-                    prop_assert_eq!(
-                        unpack(a, b, esz, width, hi),
-                        scalar_ref::unpack(a, b, esz, width, hi),
-                        "esz {:?} width {} hi {}",
-                        esz,
-                        width,
-                        hi
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pack_matches_scalar_reference(a in any::<u128>(), b in any::<u128>()) {
-        for esz in [Esz::H, Esz::W, Esz::D] {
-            let (na, nb) = (near_half_range(a, esz), near_half_range(b, esz));
-            for (x, y) in [(a, b), (na, nb), (na, b)] {
-                for width in [8usize, 16] {
-                    for unsigned in [false, true] {
-                        prop_assert_eq!(
-                            pack(x, y, esz, width, unsigned),
-                            scalar_ref::pack(x, y, esz, width, unsigned),
-                            "esz {:?} width {} unsigned {}",
-                            esz,
-                            width,
-                            unsigned
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn accumulators_match_scalar_reference(
-        a in any::<u128>(),
-        b in any::<u128>(),
-        init in prop::collection::vec(any::<i32>(), 8),
-    ) {
-        let init: [i64; 8] = std::array::from_fn(|l| i64::from(init[l]));
-        for op in [AccOp::Sad, AccOp::Ssd, AccOp::Mac, AccOp::AddH] {
-            for width in [8usize, 16] {
-                let (mut fast, mut slow) = (init, init);
-                // Several rows into one accumulator, as `MAcc` does.
-                for (x, y) in [(a, b), (b, a), (a ^ b, a)] {
-                    accumulate(op, &mut fast, x, y, width);
-                    scalar_ref::accumulate(op, &mut slow, x, y, width);
-                }
-                prop_assert_eq!(fast, slow, "op {:?} width {}", op, width);
-            }
-        }
-    }
-
-    #[test]
-    fn acc_pack_matches_scalar_reference(
-        lanes in prop::collection::vec(any::<i64>(), 8),
-        shift in 0u8..40,
-    ) {
-        let raw: [i64; 8] = std::array::from_fn(|l| lanes[l]);
-        for esz in ALL_ESZ {
-            // Raw lanes almost always saturate; scaled ones straddle the
-            // element range.
-            let scaled = raw.map(|x| x >> (63 - esz.bits().min(63)));
-            for acc in [raw, scaled] {
-                for sat in [Sat::Wrap, Sat::Signed, Sat::Unsigned] {
-                    for width in [8usize, 16] {
-                        prop_assert_eq!(
-                            acc_pack(&acc, esz, sat, shift, width),
-                            scalar_ref::acc_pack(&acc, esz, sat, shift, width),
-                            "esz {:?} sat {:?} shift {} width {}",
-                            esz,
-                            sat,
-                            shift,
-                            width
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_matches_scalar_reference(rows in prop::collection::vec(any::<u128>(), 16)) {
-        for esz in ALL_ESZ {
-            for width in [8usize, 16] {
-                let n = width / esz.bytes();
-                prop_assert_eq!(
-                    transpose(&rows[..n], esz),
-                    scalar_ref::transpose(&rows[..n], esz),
-                    "esz {:?} width {}",
-                    esz,
-                    width
-                );
-            }
         }
     }
 

@@ -61,10 +61,7 @@ pub use deps::{
 pub use elem::{Esz, MemSz};
 pub use ext::Ext;
 pub use instr::{AccOp, AluOp, Cond, FOp, Instr, MOperand, Operand2, Sat, VLoc, VOp, VShiftOp};
-pub use predecode::{
-    fu_index, Decoded, DecodedBlock, DecodedInstr, EDGE_INTERNAL, MAX_BLOCK_LEN, NO_BLOCK,
-    NUM_FU_KINDS, RENAME_NONE,
-};
+pub use predecode::{Decoded, DecodedInstr, RENAME_NONE};
 pub use program::{ClassCounts, Program, Region};
 pub use reg::{AReg, FReg, IReg, MReg, VReg};
 

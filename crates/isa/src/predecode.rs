@@ -13,28 +13,11 @@
 //! the other static facts is what lets the commit path avoid re-matching
 //! on the instruction entirely.
 
-use crate::{
-    AluOp, Class, DefUse, FOp, FuKind, Instr, Program, Region, MAX_DEFS, MAX_USES, NUM_FLAT_REGS,
-};
+use crate::{AluOp, Class, DefUse, FOp, FuKind, Instr, Program, Region, MAX_DEFS, MAX_USES};
 
 /// Sentinel for "the destination is not renamed" in
 /// [`DecodedInstr::def_rename`] (accumulators, VL, or no destination).
 pub const RENAME_NONE: u8 = u8::MAX;
-
-/// Maximum number of instructions in one superblock.  Longer straight-line
-/// regions are split; 64 keeps the timing model's per-block completion
-/// times in a fixed-size stack array.
-pub const MAX_BLOCK_LEN: usize = 64;
-
-/// Bit set in a [`DecodedBlock`] dependence edge when the producer is an
-/// earlier instruction *of the same block* (the low bits are then its
-/// block-relative index).  When clear, the low bits are the flat register
-/// index ([`crate::RegId::flat`]) of an external (live-in) value.
-pub const EDGE_INTERNAL: u16 = 1 << 15;
-
-/// Sentinel in [`Decoded::block_idx_at`] for "this pc does not start a
-/// block".
-pub const NO_BLOCK: u32 = u32::MAX;
 
 /// Everything the emulator and timing model need to know about one static
 /// instruction, precomputed by [`Decoded::new`].
@@ -136,217 +119,24 @@ impl DecodedInstr {
     }
 }
 
-/// One superblock: a single-entry, straight-line run of instructions that
-/// control flow can only enter at `start` and only leave at the end (the
-/// last instruction is the only one that may branch, jump or halt).
-///
-/// Blocks partition the program: every static instruction belongs to
-/// exactly one block, and every possible control-flow successor of a
-/// block (branch target, fall-through, region boundary, length split) is
-/// itself a block leader.  The emulator therefore always sits on a block
-/// leader between blocks, which is what makes block-granular replay and
-/// the timing model's fused fast path exact.
-#[derive(Debug, Clone)]
-pub struct DecodedBlock {
-    /// Index of the first instruction (the block leader).
-    pub start: u32,
-    /// Number of instructions; `1..=MAX_BLOCK_LEN`.
-    pub len: u32,
-    /// Region tag shared by every instruction in the block (region
-    /// boundaries are block boundaries).
-    pub region: Region,
-    /// Flattened dependence edges: instruction `i` of the block reads the
-    /// producers in `edges[edge_off[i]..edge_off[i+1]]`.  Each edge is
-    /// either `EDGE_INTERNAL | rel` (value produced by instruction `rel`
-    /// of this block) or a flat register index of a live-in value.
-    pub edges: Vec<u16>,
-    /// `len + 1` offsets into `edges`.
-    pub edge_off: Vec<u16>,
-    /// Deferred scoreboard writes: for each flat register defined in the
-    /// block, the block-relative index of its *last* writer.  Applying
-    /// these after the block leaves the scoreboard exactly as the
-    /// per-instruction path would.
-    pub live_out: Vec<(u16, u16)>,
-    /// Sum of the static execution latencies of the block's instructions.
-    pub lat_sum: u32,
-    /// Instruction count per functional-unit pool, indexed by
-    /// [`fu_index`].
-    pub fu_counts: [u16; NUM_FU_KINDS],
-}
-
-/// Number of [`FuKind`] variants (for [`fu_index`]-indexed tables).
-pub const NUM_FU_KINDS: usize = 7;
-
-/// Dense index of a [`FuKind`] for per-pool summary tables.
-#[must_use]
-pub const fn fu_index(fu: FuKind) -> usize {
-    match fu {
-        FuKind::IntAlu => 0,
-        FuKind::IntMul => 1,
-        FuKind::Fp => 2,
-        FuKind::Mem => 3,
-        FuKind::Simd => 4,
-        FuKind::VecMem => 5,
-        FuKind::None => 6,
-    }
-}
-
 /// The predecoded table of one [`Program`]: one [`DecodedInstr`] per
 /// static instruction, same indexing as [`Program::code`].
 #[derive(Debug, Clone)]
 pub struct Decoded {
     instrs: Vec<DecodedInstr>,
-    blocks: Vec<DecodedBlock>,
-    /// Per-pc block index (`NO_BLOCK` when the pc is not a leader).
-    block_idx: Vec<u32>,
-}
-
-/// `true` when the instruction can transfer control (or stop the
-/// machine): exactly the instructions whose successor is not `pc + 1`.
-fn is_control(instr: &Instr) -> bool {
-    matches!(
-        instr,
-        Instr::Branch { .. } | Instr::Jump { .. } | Instr::Halt
-    )
-}
-
-/// Marks every block leader of `instrs`: entry point, control-flow
-/// targets, fall-throughs after control flow, and region boundaries.
-fn find_leaders(instrs: &[DecodedInstr]) -> Vec<bool> {
-    let n = instrs.len();
-    let mut leaders = vec![false; n];
-    if n == 0 {
-        return leaders;
-    }
-    leaders[0] = true;
-    for (i, d) in instrs.iter().enumerate() {
-        match d.instr {
-            Instr::Branch { target, .. } | Instr::Jump { target } => {
-                if (target as usize) < n {
-                    leaders[target as usize] = true;
-                }
-                if i + 1 < n {
-                    leaders[i + 1] = true;
-                }
-            }
-            Instr::Halt if i + 1 < n => {
-                leaders[i + 1] = true;
-            }
-            _ => {}
-        }
-        if i > 0 && d.region != instrs[i - 1].region {
-            leaders[i] = true;
-        }
-    }
-    leaders
-}
-
-/// Builds one [`DecodedBlock`] over `instrs[start..start + len]`.
-fn build_block(instrs: &[DecodedInstr], start: usize, len: usize) -> DecodedBlock {
-    // Last internal writer of each flat register, or NO_DEF.
-    const NO_DEF: u16 = u16::MAX;
-    let mut last_def = [NO_DEF; NUM_FLAT_REGS];
-    let mut edges = Vec::new();
-    let mut edge_off = Vec::with_capacity(len + 1);
-    let mut lat_sum = 0u32;
-    let mut fu_counts = [0u16; NUM_FU_KINDS];
-    for rel in 0..len {
-        let d = &instrs[start + rel];
-        edge_off.push(edges.len() as u16);
-        for (k, _) in d.du.uses().iter().enumerate() {
-            let flat = d.flat_uses[k];
-            let producer = last_def[flat as usize];
-            edges.push(if producer == NO_DEF {
-                flat
-            } else {
-                EDGE_INTERNAL | producer
-            });
-        }
-        if !d.du.defs().is_empty() {
-            last_def[d.flat_defs[0] as usize] = rel as u16;
-        }
-        lat_sum += u32::from(d.lat);
-        fu_counts[fu_index(d.fu)] += 1;
-    }
-    edge_off.push(edges.len() as u16);
-    let mut live_out: Vec<(u16, u16)> = last_def
-        .iter()
-        .enumerate()
-        .filter(|(_, &w)| w != NO_DEF)
-        .map(|(flat, &w)| (flat as u16, w))
-        .collect();
-    // Apply deferred writes in program order of the last writer so ties
-    // (none today: one def per flat reg survives) stay deterministic.
-    live_out.sort_unstable_by_key(|&(_, w)| w);
-    DecodedBlock {
-        start: start as u32,
-        len: len as u32,
-        region: instrs[start].region,
-        edges,
-        edge_off,
-        live_out,
-        lat_sum,
-        fu_counts,
-    }
-}
-
-/// Partitions `instrs` into superblocks (see [`DecodedBlock`]).
-fn find_blocks(instrs: &[DecodedInstr]) -> (Vec<DecodedBlock>, Vec<u32>) {
-    let n = instrs.len();
-    let leaders = find_leaders(instrs);
-    let mut blocks = Vec::new();
-    let mut block_idx = vec![NO_BLOCK; n];
-    let mut start = 0;
-    while start < n {
-        let mut len = 1;
-        // Extend until the next leader, a control-flow end, or the split
-        // cap; every end-of-block successor then lands on a leader (the
-        // split point itself becomes one implicitly: block starts are
-        // exactly where lookup succeeds).
-        while start + len < n
-            && len < MAX_BLOCK_LEN
-            && !leaders[start + len]
-            && !is_control(&instrs[start + len - 1].instr)
-        {
-            len += 1;
-        }
-        block_idx[start] = blocks.len() as u32;
-        blocks.push(build_block(instrs, start, len));
-        start += len;
-    }
-    (blocks, block_idx)
 }
 
 impl Decoded {
-    /// Predecodes every instruction of `prog` and discovers its
-    /// superblocks.
+    /// Predecodes every instruction of `prog`.
     #[must_use]
     pub fn new(prog: &Program) -> Self {
-        let instrs: Vec<DecodedInstr> = prog
+        let instrs = prog
             .code()
             .iter()
             .zip(prog.regions())
             .map(|(i, r)| DecodedInstr::new(*i, *r))
             .collect();
-        let (blocks, block_idx) = find_blocks(&instrs);
-        Self {
-            instrs,
-            blocks,
-            block_idx,
-        }
-    }
-
-    /// The discovered superblocks, in program order.
-    #[must_use]
-    pub fn blocks(&self) -> &[DecodedBlock] {
-        &self.blocks
-    }
-
-    /// Index into [`Decoded::blocks`] of the block starting at `pc`, or
-    /// [`NO_BLOCK`] when `pc` is not a block leader (or out of range).
-    #[must_use]
-    pub fn block_idx_at(&self, pc: usize) -> u32 {
-        self.block_idx.get(pc).copied().unwrap_or(NO_BLOCK)
+        Self { instrs }
     }
 
     /// The decoded instructions, indexed like [`Program::code`].
@@ -365,20 +155,6 @@ impl Decoded {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
-    }
-
-    /// A copy of this table with no superblocks: every pc maps to
-    /// [`NO_BLOCK`], so the emulator's per-instruction side-exit path
-    /// executes the whole program.  Differential testers use this to
-    /// exercise that path as a distinct engine; timing-model callers
-    /// never want it.
-    #[must_use]
-    pub fn without_blocks(&self) -> Self {
-        Self {
-            instrs: self.instrs.clone(),
-            blocks: Vec::new(),
-            block_idx: vec![NO_BLOCK; self.instrs.len()],
-        }
     }
 
     /// Validates structural well-formedness exactly like
@@ -455,157 +231,6 @@ mod tests {
         assert_eq!(dec[2].lat, 3);
         assert_eq!(dec[0].def_rename, RegId::I(1).rename_class().unwrap() as u8);
         assert_eq!(dec[3].def_rename, RENAME_NONE);
-    }
-
-    #[test]
-    fn blocks_partition_program_and_respect_leaders() {
-        use crate::Cond;
-        // 0: li r1, 10        <- leader (entry)
-        // 1: li r2, 0
-        // 2: add r2, r2, r1   <- leader (branch target)
-        // 3: sub r1, r1, 1
-        // 4: bne r1, 0, 2
-        // 5: halt             <- leader (fall-through after branch)
-        let code = vec![
-            Instr::Li {
-                rd: IReg::new(1),
-                imm: 10,
-            },
-            Instr::Li {
-                rd: IReg::new(2),
-                imm: 0,
-            },
-            Instr::IntOp {
-                op: AluOp::Add,
-                rd: IReg::new(2),
-                ra: IReg::new(2),
-                b: Operand2::Reg(IReg::new(1)),
-            },
-            Instr::IntOp {
-                op: AluOp::Sub,
-                rd: IReg::new(1),
-                ra: IReg::new(1),
-                b: Operand2::Imm(1),
-            },
-            Instr::Branch {
-                cond: Cond::Ne,
-                ra: IReg::new(1),
-                b: Operand2::Imm(0),
-                target: 2,
-            },
-            Instr::Halt,
-        ];
-        let n = code.len();
-        let prog = Program::new(code, vec![Region::Scalar; n]);
-        let dec = prog.decode();
-        let blocks = dec.blocks();
-        let starts: Vec<u32> = blocks.iter().map(|b| b.start).collect();
-        assert_eq!(starts, [0, 2, 5]);
-        let lens: Vec<u32> = blocks.iter().map(|b| b.len).collect();
-        assert_eq!(lens, [2, 3, 1]);
-        // Partition: blocks tile 0..n with no gaps.
-        let total: u32 = lens.iter().sum();
-        assert_eq!(total as usize, n);
-        // Leader lookup.
-        assert_eq!(dec.block_idx_at(0), 0);
-        assert_eq!(dec.block_idx_at(2), 1);
-        assert_eq!(dec.block_idx_at(5), 2);
-        assert_eq!(dec.block_idx_at(1), NO_BLOCK);
-        assert_eq!(dec.block_idx_at(99), NO_BLOCK);
-    }
-
-    #[test]
-    fn block_edges_distinguish_internal_and_external_producers() {
-        // 0: li r1, 7         (defs r1)
-        // 1: add r2, r1, r3   (r1 internal <- 0, r3 external)
-        // 2: add r1, r2, r2   (both uses internal <- 1)
-        // 3: halt
-        let code = vec![
-            Instr::Li {
-                rd: IReg::new(1),
-                imm: 7,
-            },
-            Instr::IntOp {
-                op: AluOp::Add,
-                rd: IReg::new(2),
-                ra: IReg::new(1),
-                b: Operand2::Reg(IReg::new(3)),
-            },
-            Instr::IntOp {
-                op: AluOp::Add,
-                rd: IReg::new(1),
-                ra: IReg::new(2),
-                b: Operand2::Reg(IReg::new(2)),
-            },
-            Instr::Halt,
-        ];
-        let prog = Program::new(code, vec![Region::Scalar; 4]);
-        let dec = prog.decode();
-        let b = &dec.blocks()[0];
-        assert_eq!((b.start, b.len), (0, 4));
-        let edges_of =
-            |rel: usize| &b.edges[b.edge_off[rel] as usize..b.edge_off[rel + 1] as usize];
-        assert_eq!(edges_of(0), &[] as &[u16]);
-        assert_eq!(
-            edges_of(1),
-            &[EDGE_INTERNAL, RegId::I(3).flat()],
-            "use of r1 resolves to instruction 0; r3 is live-in"
-        );
-        assert_eq!(edges_of(2), &[EDGE_INTERNAL | 1, EDGE_INTERNAL | 1]);
-        // live_out: last writers only — r1 from instr 2, r2 from instr 1.
-        assert_eq!(
-            b.live_out,
-            vec![(RegId::I(2).flat(), 1), (RegId::I(1).flat(), 2)]
-        );
-        // Summaries: three 1-cycle ALU ops + halt.
-        assert_eq!(b.lat_sum, 3);
-        assert_eq!(b.fu_counts[fu_index(crate::FuKind::IntAlu)], 3);
-        assert_eq!(b.fu_counts[fu_index(crate::FuKind::None)], 1);
-    }
-
-    #[test]
-    fn long_straight_line_code_splits_at_max_block_len() {
-        let mut code = vec![
-            Instr::Li {
-                rd: IReg::new(1),
-                imm: 0,
-            };
-            MAX_BLOCK_LEN + 10
-        ];
-        code.push(Instr::Halt);
-        let n = code.len();
-        let prog = Program::new(code, vec![Region::Scalar; n]);
-        let dec = prog.decode();
-        let lens: Vec<u32> = dec.blocks().iter().map(|b| b.len).collect();
-        assert_eq!(lens, [MAX_BLOCK_LEN as u32, 11]);
-        assert_eq!(
-            dec.block_idx_at(MAX_BLOCK_LEN),
-            1,
-            "split point is a leader"
-        );
-    }
-
-    #[test]
-    fn region_boundaries_split_blocks() {
-        let code = vec![
-            Instr::Li {
-                rd: IReg::new(1),
-                imm: 0,
-            };
-            4
-        ];
-        let regions = vec![
-            Region::Scalar,
-            Region::Scalar,
-            Region::Vector,
-            Region::Vector,
-        ];
-        let prog = Program::new(code, regions);
-        let dec = prog.decode();
-        let starts: Vec<u32> = dec.blocks().iter().map(|b| b.start).collect();
-        assert_eq!(starts, [0, 2]);
-        assert_eq!(dec.blocks()[0].region, Region::Scalar);
-        assert_eq!(dec.blocks()[1].region, Region::Vector);
     }
 
     #[test]

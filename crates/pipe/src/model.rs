@@ -6,8 +6,7 @@ use serde::{Deserialize, Serialize};
 use simdsim_emu::{DynInstr, EmuError, Machine, MemAccess, RunStats, TraceSink};
 use simdsim_isa::Decoded;
 use simdsim_isa::{
-    ClassCounts, DecodedBlock, DecodedInstr, FuKind, Instr, Program, Region, EDGE_INTERNAL,
-    MAX_BLOCK_LEN, NUM_FLAT_REGS, RENAME_NONE,
+    ClassCounts, DecodedInstr, FuKind, Instr, Program, Region, NUM_FLAT_REGS, RENAME_NONE,
 };
 use simdsim_mem::{CacheStats, MemSystem, MemTimingStats};
 use std::cell::RefCell;
@@ -391,8 +390,7 @@ impl Pipeline {
 
     /// Front end of one instruction: fetch-group accounting, ROB head
     /// release, issue-queue drain and rename-budget stalls.  Returns the
-    /// dispatch cycle.  Shared by the per-instruction and fused block
-    /// paths so the two cannot diverge.
+    /// dispatch cycle.
     #[inline]
     fn stage_front(&mut self, dec: &DecodedInstr) -> u64 {
         // ------------------------------------------------------------
@@ -683,54 +681,6 @@ impl Pipeline {
         }
     }
 
-    /// Per-instruction path: operand readiness from the flat scoreboard,
-    /// destination write-back after execute.
-    fn push_instr(&mut self, di: &DynInstr, dec: &DecodedInstr) {
-        let dispatch = self.stage_front(dec);
-        let mut ready = dispatch;
-        for k in 0..dec.du.uses().len() {
-            ready = ready.max(self.reg_ready.t[dec.flat_uses[k] as usize]);
-        }
-        let complete = self.stage_execute(di, dec, ready);
-        if !dec.du.defs().is_empty() {
-            self.reg_ready.t[dec.flat_defs[0] as usize] = complete;
-        }
-        self.stage_retire(di, dec, dispatch, ready, complete);
-    }
-
-    /// Fused block path: scoreboards a whole superblock in one call.
-    /// Operand readiness comes from the block's precomputed dependence
-    /// edges — block-internal producers resolve against a local
-    /// completion-time array, live-ins against the flat scoreboard — and
-    /// scoreboard write-back is deferred to one write per live-out
-    /// register.  Cycle-exact with the per-instruction path: internal
-    /// edges substitute exactly for the scoreboard reads they shadow, and
-    /// `live_out` holds the last writer of every register the block
-    /// defines.
-    fn push_block_fused(&mut self, dis: &[DynInstr], decs: &[DecodedInstr], block: &DecodedBlock) {
-        let mut complete = [0u64; MAX_BLOCK_LEN];
-        for (rel, (di, dec)) in dis.iter().zip(decs).enumerate() {
-            let dispatch = self.stage_front(dec);
-            let mut ready = dispatch;
-            let lo = block.edge_off[rel] as usize;
-            let hi = block.edge_off[rel + 1] as usize;
-            for &e in &block.edges[lo..hi] {
-                let t = if e & EDGE_INTERNAL != 0 {
-                    complete[(e & !EDGE_INTERNAL) as usize]
-                } else {
-                    self.reg_ready.t[e as usize]
-                };
-                ready = ready.max(t);
-            }
-            let c = self.stage_execute(di, dec, ready);
-            complete[rel] = c;
-            self.stage_retire(di, dec, dispatch, ready, c);
-        }
-        for &(flat, writer) in &block.live_out {
-            self.reg_ready.t[flat as usize] = complete[writer as usize];
-        }
-    }
-
     fn order_against_stores(&self, issue: u64, acc: &MemAccess) -> u64 {
         let mut start = issue;
         for key in line_keys(acc) {
@@ -804,21 +754,19 @@ impl Pipeline {
 }
 
 impl TraceSink for Pipeline {
+    /// Times one committed instruction: front end, operand readiness from
+    /// the flat scoreboard, execute, destination write-back, retire.
     fn push(&mut self, di: &DynInstr, dec: &DecodedInstr) {
-        self.push_instr(di, dec);
-    }
-
-    fn push_block(&mut self, dis: &[DynInstr], decs: &[DecodedInstr], block: &DecodedBlock) {
-        if dis.len() == decs.len() {
-            self.push_block_fused(dis, decs, block);
-        } else {
-            // Side exit (fault or instruction limit mid-block): the
-            // block's live-out map describes instructions that never
-            // committed, so replay the prefix per instruction.
-            for (di, dec) in dis.iter().zip(decs) {
-                self.push_instr(di, dec);
-            }
+        let dispatch = self.stage_front(dec);
+        let mut ready = dispatch;
+        for k in 0..dec.du.uses().len() {
+            ready = ready.max(self.reg_ready.t[dec.flat_uses[k] as usize]);
         }
+        let complete = self.stage_execute(di, dec, ready);
+        if !dec.du.defs().is_empty() {
+            self.reg_ready.t[dec.flat_defs[0] as usize] = complete;
+        }
+        self.stage_retire(di, dec, dispatch, ready, complete);
     }
 }
 
@@ -1080,70 +1028,6 @@ mod tests {
         assert!(stats.instrs > 100);
     }
 
-    #[test]
-    fn fused_block_path_matches_per_instruction_fallback() {
-        use simdsim_isa::DecodedBlock;
-
-        /// Forwards every block to the per-instruction path, forcing the
-        /// fallback the fused engine takes on side exits.
-        struct PerInstr(Pipeline);
-        impl TraceSink for PerInstr {
-            fn push(&mut self, di: &DynInstr, dec: &DecodedInstr) {
-                self.0.push(di, dec);
-            }
-            fn push_block(&mut self, dis: &[DynInstr], decs: &[DecodedInstr], _b: &DecodedBlock) {
-                for (di, dec) in dis.iter().zip(decs) {
-                    self.0.push(di, dec);
-                }
-            }
-        }
-
-        // A branchy, memory-heavy, vector-tinged workload: exercises
-        // internal and external dependence edges, RMW defs, stores and
-        // multi-block control flow.
-        let mut a = Asm::new();
-        let (x, i, t, p) = (a.ireg(), a.ireg(), a.ireg(), a.ireg());
-        a.li(x, 0x1234_5678);
-        a.li(p, 4096);
-        a.li(i, 0);
-        a.for_loop(i, 300, |a| {
-            a.muli(x, x, 1103515245);
-            a.addi(x, x, 12345);
-            a.sd(x, p, 0);
-            a.ld(t, p, 0);
-            a.add(x, x, t);
-            a.srli(t, x, 13);
-            a.if_(Cond::Eq, t, 0, |a| {
-                a.addi(x, x, 7);
-            });
-            a.addi(p, p, 32);
-        });
-        a.halt();
-        let prog = a.finish();
-        let dec = prog.decode();
-        let cfg = PipeConfig::paper(4, Ext::Mmx64);
-        let machine = Machine::new(cfg.ext, 1 << 20);
-
-        let fused = {
-            let mut m = machine.clone();
-            let mut pipe = Pipeline::new(cfg);
-            m.run_decoded(&dec, &mut pipe, 1_000_000).unwrap();
-            pipe.finalize()
-        };
-        let fallback = {
-            let mut m = machine.clone();
-            let mut sink = PerInstr(Pipeline::new(cfg));
-            m.run_decoded(&dec, &mut sink, 1_000_000).unwrap();
-            sink.0.finalize()
-        };
-        assert_eq!(
-            fused, fallback,
-            "fused block path must be cycle-exact with the per-instruction path"
-        );
-        assert!(fused.instrs > 1000);
-        assert!(fused.branches > 0 && fused.l1.misses > 0);
-    }
-
     /// Profiled run of `build` under `cfg`, via an explicit pipeline so
     /// the pooled thread-local state cannot leak between assertions.
     fn run_profiled(cfg: &PipeConfig, build: impl FnOnce(&mut Asm)) -> (PipeStats, CpiStack) {
@@ -1175,8 +1059,8 @@ mod tests {
 
     #[test]
     fn cpi_stack_sums_to_total_slots() {
-        // The branchy/memory/dependence mix from the fused-parity test,
-        // across all three widths: every slot must be accounted for.
+        // A branchy/memory/dependence mix across all three widths: every
+        // slot must be accounted for.
         for way in [2, 4, 8] {
             let cfg = PipeConfig::paper(way, Ext::Mmx64);
             let (stats, stack) = run_profiled(&cfg, |a| {
@@ -1222,65 +1106,6 @@ mod tests {
         let (profiled, stack) = run_profiled(&cfg, body);
         assert_eq!(plain, profiled, "profiling must not perturb timing");
         assert_accounts(&profiled, &stack);
-    }
-
-    #[test]
-    fn fused_block_profile_matches_per_instruction_fallback() {
-        use simdsim_isa::DecodedBlock;
-
-        struct PerInstr(Pipeline);
-        impl TraceSink for PerInstr {
-            fn push(&mut self, di: &DynInstr, dec: &DecodedInstr) {
-                self.0.push(di, dec);
-            }
-            fn push_block(&mut self, dis: &[DynInstr], decs: &[DecodedInstr], _b: &DecodedBlock) {
-                for (di, dec) in dis.iter().zip(decs) {
-                    self.0.push(di, dec);
-                }
-            }
-        }
-
-        let mut a = Asm::new();
-        let (x, i, t, p) = (a.ireg(), a.ireg(), a.ireg(), a.ireg());
-        a.li(x, 0x1234_5678);
-        a.li(p, 4096);
-        a.li(i, 0);
-        a.for_loop(i, 300, |a| {
-            a.muli(x, x, 1103515245);
-            a.addi(x, x, 12345);
-            a.sd(x, p, 0);
-            a.ld(t, p, 0);
-            a.add(x, x, t);
-            a.srli(t, x, 13);
-            a.if_(Cond::Eq, t, 0, |a| {
-                a.addi(x, x, 7);
-            });
-            a.addi(p, p, 32);
-        });
-        a.halt();
-        let prog = a.finish();
-        let dec = prog.decode();
-        let cfg = PipeConfig::paper(4, Ext::Mmx64);
-        let machine = Machine::new(cfg.ext, 1 << 20);
-
-        let fused = {
-            let mut m = machine.clone();
-            let mut pipe = Pipeline::new(cfg);
-            pipe.set_profiling(true);
-            m.run_decoded(&dec, &mut pipe, 1_000_000).unwrap();
-            pipe.cpi_stack().unwrap()
-        };
-        let fallback = {
-            let mut m = machine.clone();
-            let mut sink = PerInstr(Pipeline::new(cfg));
-            sink.0.set_profiling(true);
-            m.run_decoded(&dec, &mut sink, 1_000_000).unwrap();
-            sink.0.cpi_stack().unwrap()
-        };
-        assert_eq!(
-            fused, fallback,
-            "fused block path must attribute stalls exactly like the fallback"
-        );
     }
 
     #[test]

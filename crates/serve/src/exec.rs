@@ -95,20 +95,6 @@ pub fn run_job(job: &Job, ctx: &ExecContext) {
             .sum(),
         report.simulated_wall(),
     );
-    let block_totals = report
-        .outcomes
-        .iter()
-        .filter(|o| !o.cached)
-        .filter_map(|o| o.stats.as_ref().ok())
-        .fold((0u64, 0u64, 0u64), |acc, s| {
-            (
-                acc.0 + s.blocks_cached,
-                acc.1 + s.block_hits,
-                acc.2 + s.side_exits,
-            )
-        });
-    ctx.metrics
-        .record_blocks(block_totals.0, block_totals.1, block_totals.2);
     // Fold every freshly simulated cell's CPI stack into the fleet-wide
     // stall counters (`simdsim_stall_cycles_total`).  Both execution
     // paths land here, so in-process and fleet-sharded jobs are counted

@@ -909,9 +909,6 @@ mod tests {
             l1: Default::default(),
             l2: Default::default(),
             memsys: Default::default(),
-            blocks_cached: 4,
-            block_hits: 50,
-            side_exits: 0,
             profile: None,
         }
     }

@@ -117,13 +117,6 @@ pub struct Metrics {
     pub sim_instrs: AtomicU64,
     /// Wall-clock microseconds spent simulating (summed across workers).
     pub sim_wall_micros: AtomicU64,
-    /// Superblocks predecoded across all simulated cells.
-    pub sim_blocks_cached: AtomicU64,
-    /// Dynamic superblocks executed end-to-end on the fused path.
-    pub sim_block_hits: AtomicU64,
-    /// Dynamic instructions committed on the per-instruction fallback
-    /// path (outside any superblock).
-    pub sim_side_exits: AtomicU64,
     /// Fleet workers that registered.
     pub fleet_workers_registered: AtomicU64,
     /// Fleet workers evicted for missing heartbeats.
@@ -202,13 +195,6 @@ pub struct MetricsSnapshot {
     pub sim_instrs: u64,
     /// Seconds of simulation wall time (summed across workers).
     pub sim_wall_seconds: f64,
-    /// Superblocks predecoded across all simulated cells.
-    pub sim_blocks_cached: u64,
-    /// Dynamic superblocks executed end-to-end on the fused path.
-    pub sim_block_hits: u64,
-    /// Dynamic instructions committed on the per-instruction fallback
-    /// path (outside any superblock).
-    pub sim_side_exits: u64,
     /// Fleet workers that registered.
     pub fleet_workers_registered: u64,
     /// Fleet workers evicted for missing heartbeats.
@@ -288,16 +274,6 @@ impl Metrics {
             .fetch_add(wall.as_micros() as u64, Ordering::Relaxed);
     }
 
-    /// Records the superblock-engine counters aggregated over one
-    /// finished job's freshly simulated cells (cache hits replay stored
-    /// results and do no block execution).
-    pub fn record_blocks(&self, blocks_cached: u64, block_hits: u64, side_exits: u64) {
-        self.sim_blocks_cached
-            .fetch_add(blocks_cached, Ordering::Relaxed);
-        self.sim_block_hits.fetch_add(block_hits, Ordering::Relaxed);
-        self.sim_side_exits.fetch_add(side_exits, Ordering::Relaxed);
-    }
-
     /// Folds one cell's cycle-accounting stack into the fleet-wide stall
     /// counters (`simdsim_stall_cycles_total` on `/metrics`).
     pub fn record_stalls(&self, stack: &CpiStack) {
@@ -344,9 +320,6 @@ impl Metrics {
             cells_simulated: get(&self.cells_simulated),
             sim_instrs: get(&self.sim_instrs),
             sim_wall_seconds: get(&self.sim_wall_micros) as f64 / 1.0e6,
-            sim_blocks_cached: get(&self.sim_blocks_cached),
-            sim_block_hits: get(&self.sim_block_hits),
-            sim_side_exits: get(&self.sim_side_exits),
             fleet_workers_registered: get(&self.fleet_workers_registered),
             fleet_workers_evicted: get(&self.fleet_workers_evicted),
             fleet_leases_granted: get(&self.fleet_leases_granted),
@@ -453,15 +426,6 @@ pub fn render_prometheus(s: &MetricsSnapshot) -> String {
         &[("", s.sim_instrs)],
     );
     counter(
-        "simdsim_superblocks_total",
-        "Superblock-engine activity across all simulated cells.",
-        &[
-            ("event=\"predecoded\"", s.sim_blocks_cached),
-            ("event=\"fused_hit\"", s.sim_block_hits),
-            ("event=\"side_exit\"", s.sim_side_exits),
-        ],
-    );
-    counter(
         "simdsim_fleet_workers_total",
         "Fleet workers, by disposition.",
         &[
@@ -565,7 +529,6 @@ mod tests {
         m.fleet_workers_registered.fetch_add(1, Ordering::Relaxed);
         m.fleet_leases_affinity.fetch_add(6, Ordering::Relaxed);
         m.record_job(5, 7, 1_000_000, Duration::from_millis(250));
-        m.record_blocks(40, 9_000, 12);
         let mut stack = CpiStack::default();
         stack.stall_slots[StallCause::DataDep as usize * NUM_REGIONS] = 11; // scalar
         stack.stall_slots[StallCause::Memory as usize * NUM_REGIONS + 1] = 23; // vector
@@ -593,9 +556,6 @@ mod tests {
             "simdsim_queue_depth 4",
             "# TYPE simdsim_cache_hit_ratio gauge",
             "simdsim_simulated_instructions_total 1000000",
-            "simdsim_superblocks_total{event=\"predecoded\"} 40",
-            "simdsim_superblocks_total{event=\"fused_hit\"} 9000",
-            "simdsim_superblocks_total{event=\"side_exit\"} 12",
             "simdsim_fleet_workers_total{event=\"registered\"} 1",
             "simdsim_leases_affinity_total 6",
             "simdsim_fleet_cells_total{event=\"requeued\"} 0",

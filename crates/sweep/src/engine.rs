@@ -76,16 +76,6 @@ pub struct CellStats {
     pub l2: CacheStats,
     /// Memory-system timing counters.
     pub memsys: MemTimingStats,
-    /// Superblocks discovered at predecode (static block count).
-    #[serde(default)]
-    pub blocks_cached: u64,
-    /// Dynamic superblocks executed end-to-end on the fused path.
-    #[serde(default)]
-    pub block_hits: u64,
-    /// Dynamic instructions committed outside any superblock (per-
-    /// instruction fallback path).
-    #[serde(default)]
-    pub side_exits: u64,
     /// The cell's CPI stack (`None` when the run had profiling disabled,
     /// or for results cached by a pre-profiler build).
     #[serde(default)]
@@ -626,7 +616,7 @@ pub(crate) fn exec_cell(cell: &Cell, cfg: &PipeConfig, profile: bool) -> CellExe
         let dec = memo_decode(cell, &built.program);
         phases.decode_ms = decode.elapsed().as_secs_f64() * 1.0e3;
         let simulate = Instant::now();
-        let (rs, t, stack) = simulate_in(&mut built.machine, &dec, cfg, cell.instr_limit, profile)
+        let (_, t, stack) = simulate_in(&mut built.machine, &dec, cfg, cell.instr_limit, profile)
             .map_err(|e| SweepError::new(cell, e.to_string()))?;
         phases.simulate_ms = simulate.elapsed().as_secs_f64() * 1.0e3;
         Ok(CellStats {
@@ -641,9 +631,6 @@ pub(crate) fn exec_cell(cell: &Cell, cfg: &PipeConfig, profile: bool) -> CellExe
             l1: t.l1,
             l2: t.l2,
             memsys: t.memsys,
-            blocks_cached: rs.blocks_cached,
-            block_hits: rs.block_hits,
-            side_exits: rs.side_exits,
             profile: stack,
         })
     })();

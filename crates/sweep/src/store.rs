@@ -16,13 +16,16 @@ use serde::{Deserialize, Serialize};
 use simdsim_pipe::PipeConfig;
 use std::path::{Path, PathBuf};
 
-/// Version of the stored-cell schema; bump when [`CellStats`] or the key
-/// material changes shape.  Version 2 added the L1/L2/memory-system
-/// counters to [`CellStats`] so the serving layer can return full timing
-/// statistics per cell.  Version 3 added the superblock-engine counters
-/// (`blocks_cached`, `block_hits`, `side_exits`).  Version 4 added the
-/// cycle-accounting `profile` stack, so caches populated by unprofiled
-/// builds never serve profile-less results to a profiling service.
+/// Version of the stored-cell schema; bump when a stored number of
+/// [`CellStats`] or the key material changes.  Version 2 added the
+/// L1/L2/memory-system counters to [`CellStats`] so the serving layer can
+/// return full timing statistics per cell.  Version 3 added three
+/// emulator dispatch counters.  Version 4 added the cycle-accounting
+/// `profile` stack, so caches populated by unprofiled builds never serve
+/// profile-less results to a profiling service.  The dispatch counters
+/// have since been retired without a bump: the reader looks fields up by
+/// name and ignores unknown keys, so v4 entries that still carry them
+/// load unchanged, and no stored number moved.
 pub const CACHE_SCHEMA_VERSION: u32 = 4;
 
 /// A content hash addressing one cell's result (32 hex digits).
@@ -292,9 +295,6 @@ mod tests {
                 l1: Default::default(),
                 l2: Default::default(),
                 memsys: Default::default(),
-                blocks_cached: 2,
-                block_hits: 7,
-                side_exits: 0,
                 profile: None,
             },
         };

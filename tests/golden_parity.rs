@@ -111,7 +111,7 @@ fn fig4_fig5_pipestats_match_golden_fixture() {
 }
 
 /// The conformance crate's deliberately-simple reference interpreter
-/// agrees with both emulator dispatch paths on *real paper workloads*,
+/// agrees with the emulator on *real paper workloads*,
 /// not just the hand-written corpus: per-instruction architectural
 /// effects, final machine state and dynamic instruction statistics all
 /// match over a fig4 kernel subset on every extension.
@@ -141,41 +141,39 @@ fn fig4_subset_matches_reference_interpreter() {
         );
         let ref_state = ArchState::of_ref(&rm);
 
-        let dec = built.program.decode();
-        for (label, table) in [("blocks", dec.clone()), ("stepped", dec.without_blocks())] {
-            let mut m = cell
-                .workload
-                .build(cell.ext)
-                .expect("workload rebuilds")
-                .machine;
-            let mut rec = EffectsRecorder::default();
-            let res = m.run_decoded_observed(&table, &mut NullSink, cell.instr_limit, &mut rec);
-            assert_eq!(
-                res.as_ref().err(),
-                None,
-                "{}: emulator/{label} faulted",
-                cell.label()
-            );
-            if let Some(d) = diff_effects(
-                "reference",
-                &ref_run.effects,
-                label,
-                &rec.effects,
-                built.program.code(),
-            ) {
-                panic!("{}: {d}", cell.label());
-            }
-            let emu_state = ArchState::of_machine(&m);
-            if let Some(d) = ref_state.diff("reference", &emu_state, label) {
-                panic!("{}: final state divergence: {d}", cell.label());
-            }
-            let stats = res.expect("checked above");
-            assert_eq!(
-                (stats.dyn_instrs, stats.element_ops),
-                (ref_run.dyn_instrs, ref_run.element_ops),
-                "{}: stats divergence vs {label}",
-                cell.label()
-            );
+        let mut m = built.machine.clone();
+        let mut rec = EffectsRecorder::default();
+        let res = m.run_decoded_observed(
+            &built.program.decode(),
+            &mut NullSink,
+            cell.instr_limit,
+            &mut rec,
+        );
+        assert_eq!(
+            res.as_ref().err(),
+            None,
+            "{}: emulator faulted",
+            cell.label()
+        );
+        if let Some(d) = diff_effects(
+            "reference",
+            &ref_run.effects,
+            "emu",
+            &rec.effects,
+            built.program.code(),
+        ) {
+            panic!("{}: {d}", cell.label());
         }
+        let emu_state = ArchState::of_machine(&m);
+        if let Some(d) = ref_state.diff("reference", &emu_state, "emu") {
+            panic!("{}: final state divergence: {d}", cell.label());
+        }
+        let stats = res.expect("checked above");
+        assert_eq!(
+            (stats.dyn_instrs, stats.element_ops),
+            (ref_run.dyn_instrs, ref_run.element_ops),
+            "{}: stats divergence",
+            cell.label()
+        );
     }
 }
