@@ -1,72 +1,19 @@
 //! The debug/observability surface of the v1 contract.
 //!
 //! `GET /v1/debug/events` exposes the coordinator's flight recorder — the
-//! bounded ring of recent structured events ([`simdsim_obs::Event`]) —
-//! filterable by trace id, job id and worker id.  The same [`DebugEvent`]
-//! shape rides **into** the coordinator inside a worker's
+//! bounded ring of recent structured events — filterable by trace id, job
+//! id and worker id.  The same [`DebugEvent`] shape rides **into** the
+//! coordinator inside a worker's
 //! [`ReportRequest`](crate::fleet::ReportRequest): the worker's per-unit
 //! spans, tagged with the originating trace, so one trace id links a
 //! client's submit to every remote simulation it fanned out into.
 
 use serde::{Deserialize, Serialize};
-use simdsim_obs::Event;
 
-/// One flight-recorder event on the wire (see [`simdsim_obs::Event`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DebugEvent {
-    /// Recorder-assigned sequence number (recording order).
-    pub seq: u64,
-    /// Milliseconds since the Unix epoch.
-    pub ts_ms: u64,
-    /// Dotted event kind, e.g. `http.request`, `job.finish`, `worker.unit`.
-    pub kind: String,
-    /// The trace this event belongs to (32 hex chars), if any.
-    pub trace: Option<String>,
-    /// The job id this event belongs to, if any.
-    pub job: Option<u64>,
-    /// The fleet worker id this event belongs to, if any.
-    pub worker: Option<u64>,
-    /// The leased unit id this event belongs to, if any.
-    pub unit: Option<u64>,
-    /// Span duration in milliseconds (`null` for instantaneous events).
-    pub dur_ms: Option<f64>,
-    /// Free-form human detail.
-    pub detail: String,
-}
-
-impl DebugEvent {
-    /// The wire shape of a recorder event.
-    #[must_use]
-    pub fn from_event(ev: &Event) -> Self {
-        Self {
-            seq: ev.seq,
-            ts_ms: ev.ts_ms,
-            kind: ev.kind.clone(),
-            trace: ev.trace.clone(),
-            job: ev.job,
-            worker: ev.worker,
-            unit: ev.unit,
-            dur_ms: ev.dur_ms,
-            detail: ev.detail.clone(),
-        }
-    }
-
-    /// The recorder shape of a wire event — how the coordinator ingests a
-    /// worker's shipped spans into its own flight recorder (`seq` is
-    /// reassigned on record; the worker's timestamp is kept).
-    #[must_use]
-    pub fn to_event(&self) -> Event {
-        let mut ev = Event::new(self.kind.clone());
-        ev.ts_ms = self.ts_ms;
-        ev.trace = self.trace.clone();
-        ev.job = self.job;
-        ev.worker = self.worker;
-        ev.unit = self.unit;
-        ev.dur_ms = self.dur_ms;
-        ev.detail = self.detail.clone();
-        ev
-    }
-}
+/// One flight-recorder event on the wire: the recorder's own
+/// [`simdsim_obs::Event`], so the `/v1/debug/events` elements, report
+/// spans, the JSONL export and `--log-json` lines share one serializer.
+pub use simdsim_obs::Event as DebugEvent;
 
 /// The answer to `GET /v1/debug/events`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -81,25 +28,54 @@ pub struct DebugEvents {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simdsim_obs::{EventFilter, FlightRecorder};
 
     #[test]
     fn debug_events_round_trip_and_map_onto_recorder_events() {
-        let ev = Event::new("worker.unit")
+        let ev = DebugEvent::new("worker.unit")
             .with_trace(Some("ab".repeat(16)))
             .with_job(3)
             .with_worker(1)
             .with_unit(42)
             .with_dur_ms(7.25)
             .with_detail("fig4/idct/sc simulated");
-        let wire = DebugEvent::from_event(&ev);
         let text = serde_json::to_string(&DebugEvents {
-            events: vec![wire.clone()],
+            events: vec![ev.clone()],
             dropped: 5,
         })
         .expect("serializes");
         let back: DebugEvents = serde_json::from_str(&text).expect("parses");
         assert_eq!(back.dropped, 5);
-        assert_eq!(back.events, vec![wire.clone()]);
-        assert_eq!(wire.to_event(), ev);
+        assert_eq!(back.events, vec![ev]);
+    }
+
+    #[test]
+    fn jsonl_lines_are_debug_events() {
+        let ring = FlightRecorder::new(8);
+        ring.record(
+            DebugEvent::new("http.request")
+                .with_trace(Some("ab".repeat(16)))
+                .with_job(7)
+                .with_dur_ms(1.5)
+                .with_detail("GET \"/v1/sweeps\\x\"\n-> 202"),
+        );
+        ring.record(DebugEvent::new("job.start"));
+        let (events, _) = ring.snapshot(&EventFilter::default());
+        let jsonl = ring.export_jsonl(&EventFilter::default());
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines.len(), 2, "embedded newlines must be escaped");
+        for (line, ev) in lines.iter().zip(&events) {
+            assert_eq!(*line, serde_json::to_string(ev).expect("serializes"));
+            let back: DebugEvent = serde_json::from_str(line).expect("parses");
+            assert_eq!(&back, ev);
+        }
+        assert!(lines[0].contains("\"job\":7"));
+        assert!(lines[0].contains("\"dur_ms\":1.5"));
+        assert!(
+            lines[0].contains("\"worker\":null"),
+            "absent fields are null"
+        );
+        assert!(lines[0].contains("\\\"/v1/sweeps\\\\x\\\"\\n-> 202"));
+        assert!(lines[1].contains("\"kind\":\"job.start\",\"trace\":null"));
     }
 }

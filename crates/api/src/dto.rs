@@ -96,13 +96,18 @@ impl Deserialize for JobState {
 
 /// A sweep submission: exactly one of `scenario` (a catalog/user scenario
 /// by name) or `inline` (a full scenario document), optionally filtered.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+/// Human-authored bodies (curl one-liners) omit the keys they don't use,
+/// so every field defaults to `None`.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct SweepRequest {
     /// Name of a catalog or user scenario.
+    #[serde(default)]
     pub scenario: Option<String>,
     /// A full inline scenario document.
+    #[serde(default)]
     pub inline: Option<Scenario>,
     /// Substring filter on cell labels.
+    #[serde(default)]
     pub filter: Option<String>,
 }
 
@@ -144,39 +149,6 @@ impl SweepRequest {
                 "body must have exactly one of `scenario` (name) or `inline` (document)".to_owned(),
             ),
         }
-    }
-}
-
-// Hand-written: human-authored bodies (curl one-liners) omit the keys
-// they don't use, so absent keys must read as `None` — the derive shim
-// treats a missing field as an error.
-impl Deserialize for SweepRequest {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let Value::Object(_) = v else {
-            return Err(SerdeError::invalid("object", "SweepRequest"));
-        };
-        let scenario = match v.get("scenario") {
-            None | Some(Value::Null) => None,
-            Some(Value::Str(s)) => Some(s.clone()),
-            Some(_) => return Err(SerdeError::new("`scenario` must be a string")),
-        };
-        let inline = match v.get("inline") {
-            None | Some(Value::Null) => None,
-            Some(doc) => Some(
-                Scenario::from_value(doc)
-                    .map_err(|e| SerdeError::new(format!("invalid inline scenario: {e}")))?,
-            ),
-        };
-        let filter = match v.get("filter") {
-            None | Some(Value::Null) => None,
-            Some(Value::Str(s)) => Some(s.clone()),
-            Some(_) => return Err(SerdeError::new("`filter` must be a string")),
-        };
-        Ok(Self {
-            scenario,
-            inline,
-            filter,
-        })
     }
 }
 
@@ -543,8 +515,8 @@ impl Health {
 }
 
 // Hand-written: a pre-negotiation server answers without `api_versions`,
-// which must read as "speaks exactly `version`" rather than a parse error
-// (the derive shim treats a missing field as an error).
+// which must read as "speaks exactly `version`" — a default that depends
+// on another field, which `#[serde(default)]` cannot express.
 impl Deserialize for Health {
     fn from_value(v: &Value) -> Result<Self, SerdeError> {
         let Value::Object(_) = v else {

@@ -183,9 +183,10 @@ impl std::fmt::Display for ApiError {
 
 impl std::error::Error for ApiError {}
 
-// Hand-written: tolerate bodies without a `code` (a proxy or a pre-v1
-// server answering `{"error": ...}`), mapping them onto `Internal` so the
-// client still surfaces the message.
+// Hand-written: a missing or unknown `code` (a proxy, a pre-v1 server
+// answering `{"error": ...}`, or a newer server's new code) maps onto
+// `Internal` so the client still surfaces the message — a fallback the
+// derive cannot express.
 impl Deserialize for ApiError {
     fn from_value(v: &Value) -> Result<Self, SerdeError> {
         let Value::Object(_) = v else {

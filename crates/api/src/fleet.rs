@@ -42,8 +42,9 @@ impl Default for RegisterRequest {
     }
 }
 
-// Hand-written: registration is curl-able, so absent keys take defaults
-// instead of erroring (the derive shim requires every field).
+// Hand-written: registration is curl-able, so absent keys take the
+// defaults above, and `slots` must be at least 1 — a range check the
+// derive cannot express.
 impl Deserialize for RegisterRequest {
     fn from_value(v: &Value) -> Result<Self, SerdeError> {
         let Value::Object(_) = v else {
@@ -115,7 +116,8 @@ impl Default for LeaseRequest {
     }
 }
 
-// Hand-written for the same curl-ability as `RegisterRequest`.
+// Hand-written for the same reason as `RegisterRequest`: a non-zero
+// default (`max_cells: 1`) and the `max_cells >= 1` range check.
 impl Deserialize for LeaseRequest {
     fn from_value(v: &Value) -> Result<Self, SerdeError> {
         let Value::Object(_) = v else {
@@ -176,8 +178,10 @@ pub struct LeaseResponse {
 }
 
 /// One simulated (or failed, or locally cached) cell coming back from a
-/// worker.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// worker.  Reports are a *request*, so the optional fields default to
+/// `None` when absent: a worker built before `phases` existed keeps
+/// reporting.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UnitResult {
     /// The work-unit id from the lease.
     pub unit: u64,
@@ -186,51 +190,21 @@ pub struct UnitResult {
     /// Wall-clock milliseconds the worker spent simulating.
     pub wall_ms: f64,
     /// The timing statistics (`null` when the cell failed).
+    #[serde(default)]
     pub stats: Option<CellStats>,
     /// The failure message (`null` when the cell succeeded).
+    #[serde(default)]
     pub error: Option<String>,
     /// The worker-measured breakdown of `wall_ms` (probe / decode /
     /// simulate / store against the worker's local cache).
+    #[serde(default)]
     pub phases: Option<CellPhases>,
-}
-
-// Hand-written: reports are a *request*, so fields added after v1
-// shipped (`phases`) must read as absent rather than erroring — a worker
-// built against the original contract keeps reporting.
-impl Deserialize for UnitResult {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let Value::Object(_) = v else {
-            return Err(SerdeError::invalid("object", "UnitResult"));
-        };
-        let field = |key: &str| {
-            v.get(key)
-                .ok_or_else(|| SerdeError::new(format!("missing field `{key}` of UnitResult")))
-        };
-        fn opt<T: Deserialize>(v: &Value, key: &str) -> Result<Option<T>, SerdeError> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(val) => Option::from_value(val)
-                    .map_err(|e| SerdeError::new(format!("field `{key}` of UnitResult: {e}"))),
-            }
-        }
-        Ok(Self {
-            unit: u64::from_value(field("unit")?)
-                .map_err(|e| SerdeError::new(format!("field `unit` of UnitResult: {e}")))?,
-            cached: bool::from_value(field("cached")?)
-                .map_err(|e| SerdeError::new(format!("field `cached` of UnitResult: {e}")))?,
-            wall_ms: f64::from_value(field("wall_ms")?)
-                .map_err(|e| SerdeError::new(format!("field `wall_ms` of UnitResult: {e}")))?,
-            stats: opt(v, "stats")?,
-            error: opt(v, "error")?,
-            phases: opt(v, "phases")?,
-        })
-    }
 }
 
 /// A worker reporting lease results (`POST /v1/workers/{id}/report`).
 /// Workers report per cell as soon as it resolves; every report refreshes
 /// the lease, so only a single cell outrunning the TTL risks a re-queue.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReportRequest {
     /// The lease these results belong to.
     pub lease_id: u64,
@@ -240,39 +214,10 @@ pub struct ReportRequest {
     /// tagged with each unit's originating trace.  The coordinator
     /// ingests them into its flight recorder, so
     /// `GET /v1/debug/events?trace=` shows coordinator and worker spans
-    /// side by side.
+    /// side by side.  Absent reads as empty: a pre-observability worker
+    /// or a minimal curl reproduction still reports.
+    #[serde(default)]
     pub spans: Vec<DebugEvent>,
-}
-
-// Hand-written so a report without `spans` (a pre-observability worker,
-// or a minimal curl reproduction) still parses — spans are an additive
-// capability, not an obligation.
-impl Deserialize for ReportRequest {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let Value::Object(_) = v else {
-            return Err(SerdeError::invalid("object", "ReportRequest"));
-        };
-        let lease_id = match v.get("lease_id") {
-            Some(n) => u64::from_value(n)
-                .map_err(|e| SerdeError::new(format!("field `lease_id` of ReportRequest: {e}")))?,
-            None => return Err(SerdeError::new("missing field `lease_id` of ReportRequest")),
-        };
-        let results = match v.get("results") {
-            Some(list) => Vec::from_value(list)
-                .map_err(|e| SerdeError::new(format!("field `results` of ReportRequest: {e}")))?,
-            None => return Err(SerdeError::new("missing field `results` of ReportRequest")),
-        };
-        let spans = match v.get("spans") {
-            None | Some(Value::Null) => Vec::new(),
-            Some(list) => Vec::from_value(list)
-                .map_err(|e| SerdeError::new(format!("field `spans` of ReportRequest: {e}")))?,
-        };
-        Ok(Self {
-            lease_id,
-            results,
-            spans,
-        })
-    }
 }
 
 /// The coordinator's answer to a report.

@@ -322,7 +322,7 @@ fn main_impl(args: &[String]) -> Result<(), String> {
     if let Some(server) = &server {
         print!(
             "{}",
-            simdsim::report::render_server_stats(&server.metrics_snapshot())
+            simdsim::report::render_server_stats(server.metrics(), &server.gauges())
         );
     }
 

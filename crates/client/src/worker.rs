@@ -23,10 +23,10 @@
 
 use crate::{ClientError, SimdsimClient};
 use simdsim_api::{
-    CellPhases, DebugEvent, ErrorCode, Lease, LeaseRequest, LeasedCell, RegisterRequest,
-    ReportRequest, UnitResult,
+    CellPhases, ErrorCode, Lease, LeaseRequest, LeasedCell, RegisterRequest, ReportRequest,
+    UnitResult,
 };
-use simdsim_obs::now_ms;
+use simdsim_obs::{now_ms, Event};
 use simdsim_sweep::{cell_key, execute_cell, ResultStore, StoredCell};
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -179,43 +179,36 @@ fn is_eviction(e: &ClientError) -> bool {
 /// One `worker.unit` span per resolved cell, tagged with the lease's
 /// trace/job ids — shipped inside the report so the coordinator's flight
 /// recorder shows the worker's side of the fan-out.
-fn unit_spans(lease: &Lease, results: &[UnitResult], worker: u64) -> Vec<DebugEvent> {
+fn unit_spans(lease: &Lease, results: &[UnitResult], worker: u64) -> Vec<Event> {
     results
         .iter()
         .map(|r| {
-            let leased = lease.cells.iter().find(|c| c.unit == r.unit);
-            DebugEvent {
-                seq: 0,
-                ts_ms: now_ms(),
-                kind: "worker.unit".to_owned(),
-                trace: leased.and_then(|c| c.trace.clone()),
-                job: leased.and_then(|c| c.job),
-                worker: Some(worker),
-                unit: Some(r.unit),
-                dur_ms: Some(r.wall_ms),
-                detail: match leased {
-                    Some(c) => {
-                        let mut d = format!(
-                            "{} {}",
-                            c.cell.label(),
-                            if r.cached { "cached" } else { "simulated" }
-                        );
-                        // Freshly simulated cells report their dominant
-                        // stall; cached cells replay stored stats.
-                        if let Some(top) = r
-                            .stats
-                            .as_ref()
-                            .filter(|_| !r.cached)
-                            .and_then(|s| s.profile.as_ref())
-                            .and_then(top_stall)
-                        {
-                            d.push_str(&format!(" top_stall={top}"));
-                        }
-                        d
-                    }
-                    None => String::new(),
-                },
+            let mut span = Event::new("worker.unit")
+                .with_worker(worker)
+                .with_unit(r.unit)
+                .with_dur_ms(r.wall_ms);
+            span.ts_ms = now_ms();
+            if let Some(c) = lease.cells.iter().find(|c| c.unit == r.unit) {
+                let mut d = format!(
+                    "{} {}",
+                    c.cell.label(),
+                    if r.cached { "cached" } else { "simulated" }
+                );
+                // Freshly simulated cells report their dominant stall;
+                // cached cells replay stored stats.
+                if let Some(top) = r
+                    .stats
+                    .as_ref()
+                    .filter(|_| !r.cached)
+                    .and_then(|s| s.profile.as_ref())
+                    .and_then(top_stall)
+                {
+                    d.push_str(&format!(" top_stall={top}"));
+                }
+                span = span.with_trace(c.trace.clone()).with_detail(d);
+                span.job = c.job;
             }
+            span
         })
         .collect()
 }

@@ -338,44 +338,48 @@ pub fn render_throughput(report: &simdsim_sweep::SweepReport) -> String {
     s
 }
 
-/// Renders a `simdsim-serve` metrics snapshot as a human-readable table —
-/// the plain-text companion of the `/metrics` Prometheus endpoint, used
-/// by `loadgen --spawn` to summarise what the in-process server did.
+/// Renders a `simdsim-serve` counter block and its sampled gauges as a
+/// human-readable table — the plain-text companion of the `/metrics`
+/// Prometheus endpoint, used by `loadgen --spawn` to summarise what the
+/// in-process server did.
 #[must_use]
-pub fn render_server_stats(s: &simdsim_serve::MetricsSnapshot) -> String {
+pub fn render_server_stats(m: &simdsim_serve::Metrics, g: &simdsim_serve::Gauges) -> String {
+    let get = |a: &std::sync::atomic::AtomicU64| a.load(std::sync::atomic::Ordering::Relaxed);
+    let requests =
+        |method, path| m.http_ms[simdsim_serve::metrics::endpoint_index(method, path)].count();
     let mut out = String::new();
     let _ = writeln!(
         out,
         "server: {} requests ({} submit, {} status, {} errors), queue depth {}",
-        s.requests_total(),
-        s.requests_submit,
-        s.requests_status,
-        s.requests_errors,
-        s.queue_depth,
+        m.http_ms.iter().map(|h| h.count()).sum::<u64>(),
+        requests("POST", "/sweeps"),
+        requests("GET", "/sweeps/0"),
+        get(&m.requests_errors),
+        g.queue_depth,
     );
     let _ = writeln!(
         out,
         "jobs:   {} submitted ({} coalesced), {} completed, {} failed, {} cancelled, {} rejected",
-        s.jobs_submitted,
-        s.jobs_coalesced,
-        s.jobs_completed,
-        s.jobs_failed,
-        s.jobs_cancelled,
-        s.jobs_rejected,
+        get(&m.jobs_submitted),
+        get(&m.jobs_coalesced),
+        get(&m.jobs_completed),
+        get(&m.jobs_failed),
+        get(&m.jobs_cancelled),
+        get(&m.jobs_rejected),
     );
     let _ = writeln!(
         out,
         "cells:  {} cached, {} simulated ({:.1}% cache hits)",
-        s.cells_cached,
-        s.cells_simulated,
-        s.cache_hit_ratio() * 100.0,
+        get(&m.cells_cached),
+        get(&m.cells_simulated),
+        m.cache_hit_ratio() * 100.0,
     );
     let _ = writeln!(
         out,
         "sim:    {} instrs in {:.2}s wall ({:.1} MIPS)",
-        s.sim_instrs,
-        s.sim_wall_seconds,
-        s.simulated_mips(),
+        get(&m.sim_instrs),
+        m.sim_wall_seconds(),
+        m.simulated_mips(),
     );
     out
 }

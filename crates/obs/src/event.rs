@@ -6,6 +6,8 @@
 //! worker / unit it belongs to.  The optional identity fields are exactly
 //! the axes `/v1/debug/events` filters on.
 
+use serde::{Deserialize, Serialize};
+
 /// Milliseconds since the Unix epoch, for event timestamps.
 #[must_use]
 pub fn now_ms() -> u64 {
@@ -15,8 +17,11 @@ pub fn now_ms() -> u64 {
 }
 
 /// One flight-recorder record: an instantaneous event, or a span when
-/// `dur_ms` is set.
-#[derive(Debug, Clone, PartialEq)]
+/// `dur_ms` is set.  This one type is every wire form of an event: the
+/// `--log-json` line, the JSONL export, the elements of
+/// `/v1/debug/events` and the spans a worker ships in its reports.  Absent
+/// optional fields serialize as `null`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Event {
     /// Recorder-assigned monotonically increasing sequence number.
     pub seq: u64,
@@ -96,95 +101,5 @@ impl Event {
     pub fn with_detail(mut self, detail: impl Into<String>) -> Self {
         self.detail = detail.into();
         self
-    }
-
-    /// Renders the event as one JSON object (one JSONL line, no trailing
-    /// newline).  Absent optional fields are omitted, not `null`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96);
-        out.push('{');
-        push_field(&mut out, "seq", &self.seq.to_string());
-        push_field(&mut out, "ts_ms", &self.ts_ms.to_string());
-        push_str_field(&mut out, "kind", &self.kind);
-        if let Some(trace) = &self.trace {
-            push_str_field(&mut out, "trace", trace);
-        }
-        if let Some(job) = self.job {
-            push_field(&mut out, "job", &job.to_string());
-        }
-        if let Some(worker) = self.worker {
-            push_field(&mut out, "worker", &worker.to_string());
-        }
-        if let Some(unit) = self.unit {
-            push_field(&mut out, "unit", &unit.to_string());
-        }
-        if let Some(dur) = self.dur_ms {
-            push_field(&mut out, "dur_ms", &format!("{dur:.3}"));
-        }
-        if !self.detail.is_empty() {
-            push_str_field(&mut out, "detail", &self.detail);
-        }
-        out.push('}');
-        out
-    }
-}
-
-fn push_field(out: &mut String, key: &str, raw: &str) {
-    if out.len() > 1 {
-        out.push(',');
-    }
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(raw);
-}
-
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    if out.len() > 1 {
-        out.push(',');
-    }
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    escape_json_into(out, value);
-    out.push('"');
-}
-
-/// Appends `value` to `out` with JSON string escaping.
-fn escape_json_into(out: &mut String, value: &str) {
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn jsonl_omits_absent_fields_and_escapes_detail() {
-        let ev = Event::new("http.request")
-            .with_trace(Some("ab".repeat(16)))
-            .with_job(7)
-            .with_dur_ms(1.5)
-            .with_detail("GET \"/v1/sweeps\"\n-> 202");
-        let json = ev.to_json();
-        assert!(json.starts_with("{\"seq\":0,\"ts_ms\":0,\"kind\":\"http.request\""));
-        assert!(json.contains("\"job\":7"));
-        assert!(json.contains("\"dur_ms\":1.500"));
-        assert!(json.contains("\\\"/v1/sweeps\\\"\\n-> 202"));
-        assert!(!json.contains("worker"), "absent fields must be omitted");
-        assert!(!json.contains("unit"));
     }
 }

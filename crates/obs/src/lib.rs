@@ -1,4 +1,4 @@
-//! `simdsim-obs` — dependency-free structured observability.
+//! `simdsim-obs` — structured observability.
 //!
 //! The serving stack can explain *what* it did (`/metrics` counters) but
 //! not *where the time went*.  This crate supplies the three missing
@@ -14,9 +14,10 @@
 //!   atomics, rendered in Prometheus histogram exposition format
 //!   (`_bucket{le=...}` / `_sum` / `_count`).
 //!
-//! Everything here is `std`-only on purpose: the recorder sits on the
-//! request hot path and inside worker unit loops, and the whole workspace
-//! builds offline.
+//! [`Event`] derives `Serialize`/`Deserialize` from the in-tree serde shim
+//! (`crates/shims/serde`, rendered by `crates/shims/serde_json`), so every
+//! wire form of an event comes from one derive and the crate still builds
+//! offline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -110,7 +110,7 @@ impl FlightRecorder {
         let (events, _) = self.snapshot(filter);
         let mut out = String::new();
         for ev in &events {
-            out.push_str(&ev.to_json());
+            out.push_str(&serde_json::to_string(ev).expect("events serialize"));
             out.push('\n');
         }
         out

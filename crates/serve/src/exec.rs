@@ -2,27 +2,28 @@
 //! [`JobQueue`](crate::jobs::JobQueue) and drive each job through the
 //! sweep engine.
 //!
-//! Where a job's cells actually run is decided **per job** at pop time
-//! through the engine's [`CellExecutor`](simdsim_sweep::CellExecutor)
-//! seam: with at least one live fleet worker registered, cells are
-//! sharded across the fleet via [`FleetExecutor`]; otherwise the job runs
-//! in-process exactly as it always has.  Either way the job observes the
-//! same progress stream, the same store, and — the engine being
-//! deterministic — bit-identical statistics.
+//! Every job runs through the engine's
+//! [`CellExecutor`](simdsim_sweep::CellExecutor) seam as a
+//! [`FleetExecutor`]: its cells go onto the fleet's lease board, and
+//! whenever no worker is live the executor hands the unleased ones to the
+//! in-process pool.  That one decision, made in `Fleet::poll_batch`,
+//! covers both an empty fleet and one that goes dark mid-job.  Either way the job observes the same progress stream,
+//! the same store, and — the engine being deterministic — bit-identical
+//! statistics.
 
-use crate::fleet::{Fleet, FleetExecutor};
+use crate::fleet::{Fleet, FleetConfig, FleetExecutor};
 use crate::jobs::{Job, JobQueue, StartOutcome};
 use crate::metrics::Metrics;
 use simdsim_api::SweepResult;
 use simdsim_obs::{Event, FlightRecorder};
-use simdsim_sweep::{run_with_executor, run_with_progress, EngineOptions};
+use simdsim_sweep::{run_with_executor, EngineOptions};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Everything a job-worker thread needs to execute jobs: the engine
-/// options applied to every run, the service counters, and (optionally)
-/// the fleet to shard across.
+/// options applied to every run, the service counters, and the fleet to
+/// shard across.
 #[derive(Debug, Clone)]
 pub struct ExecContext {
     /// Base engine options (store, pool size); per-job filter and cancel
@@ -30,20 +31,26 @@ pub struct ExecContext {
     pub opts: EngineOptions,
     /// Service counters.
     pub metrics: Arc<Metrics>,
-    /// The worker fleet; `None` (or an empty fleet) means every job runs
-    /// in-process.
-    pub fleet: Option<Arc<Fleet>>,
+    /// The worker fleet; while it has no live worker, jobs run in-process.
+    pub fleet: Arc<Fleet>,
     /// The flight recorder job lifecycle spans land in.
     pub recorder: Arc<FlightRecorder>,
 }
 
 impl Default for ExecContext {
+    /// In-process execution: an empty fleet, fresh counters and recorder.
     fn default() -> Self {
+        let metrics = Arc::new(Metrics::default());
+        let recorder = Arc::new(FlightRecorder::new(1024));
         Self {
             opts: EngineOptions::default(),
-            metrics: Arc::new(Metrics::default()),
-            fleet: None,
-            recorder: Arc::new(FlightRecorder::new(1024)),
+            fleet: Arc::new(Fleet::new(
+                FleetConfig::default(),
+                Arc::clone(&metrics),
+                Arc::clone(&recorder),
+            )),
+            metrics,
+            recorder,
         }
     }
 }
@@ -71,17 +78,9 @@ pub fn run_job(job: &Job, ctx: &ExecContext) {
         opts = opts.filter(f.clone());
     }
     let progress = |ev| job.publish_cell(&ev);
-    // Fleet dispatch is chosen per job: a worker registering mid-run
-    // serves the *next* job, and a fleet going dark mid-job falls back to
-    // in-process execution inside `FleetExecutor` itself.
-    let report = match ctx.fleet.as_ref().filter(|f| f.live_workers() > 0) {
-        Some(fleet) => {
-            let executor = FleetExecutor::new(Arc::clone(fleet), ctx.opts.jobs)
-                .for_job(job.id, job.trace.clone());
-            run_with_executor(&job.scenario, &opts, &progress, &executor)
-        }
-        None => run_with_progress(&job.scenario, &opts, &progress),
-    };
+    let executor = FleetExecutor::new(Arc::clone(&ctx.fleet), ctx.opts.jobs)
+        .for_job(job.id, job.trace.clone());
+    let report = run_with_executor(&job.scenario, &opts, &progress, &executor);
 
     let result = SweepResult::from_report(&report);
     ctx.metrics.record_job(
@@ -96,9 +95,8 @@ pub fn run_job(job: &Job, ctx: &ExecContext) {
         report.simulated_wall(),
     );
     // Fold every freshly simulated cell's CPI stack into the fleet-wide
-    // stall counters (`simdsim_stall_cycles_total`).  Both execution
-    // paths land here, so in-process and fleet-sharded jobs are counted
-    // identically.
+    // stall counters (`simdsim_stall_cycles_total`), whether the cell ran
+    // in-process or on a worker.
     for stack in report
         .outcomes
         .iter()

@@ -426,10 +426,8 @@ impl Fleet {
         // trace) land in the coordinator's recorder, so one trace id
         // shows both sides of the fan-out.
         for span in &req.spans {
-            let mut ev = span.to_event();
-            if ev.worker.is_none() {
-                ev.worker = Some(worker);
-            }
+            let mut ev = span.clone();
+            ev.worker.get_or_insert(worker);
             self.recorder.record(ev);
         }
         let mut ev = Event::new("lease.report")

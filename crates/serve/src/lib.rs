@@ -10,7 +10,7 @@
 //!   hand-rolled like the workspace's serde shims — see [`http`]);
 //! * a bounded **job queue** ([`jobs`]) between the request path and the
 //!   sweep engine, with live per-cell progress via
-//!   [`simdsim_sweep::run_with_progress`], **cursor streaming** of cell
+//!   [`simdsim_sweep::run_with_executor`], **cursor streaming** of cell
 //!   results while a job runs (`GET /v1/sweeps/{id}/cells?since=N`
 //!   long-poll), **cooperative cancellation** (`DELETE /v1/sweeps/{id}`),
 //!   **coalescing** of identical queued/running submissions onto one
@@ -23,7 +23,8 @@
 //!   register over `/v1/workers/*`, lease cells, execute them with the
 //!   very same deterministic engine, and report per-cell results; jobs
 //!   are sharded across live workers through the engine's
-//!   [`simdsim_sweep::CellExecutor`] seam ([`exec`]), with lease
+//!   [`simdsim_sweep::CellExecutor`] seam ([`exec`]), running in-process
+//!   while no worker is live, with lease
 //!   timeouts re-queueing cells from dead workers, so a sharded sweep is
 //!   bit-identical to a single-process one even across mid-job worker
 //!   crashes.
@@ -72,7 +73,7 @@ pub use exec::{run_job, spawn_workers, wait_finished, ExecContext};
 pub use fleet::{Fleet, FleetConfig, FleetExecutor};
 pub use http::{Request, Response};
 pub use jobs::{CancelOutcome, Job, JobQueue, RetentionPolicy, Submission};
-pub use metrics::{render_prometheus, Metrics, MetricsSnapshot};
+pub use metrics::{Gauges, Metrics};
 pub use server::{Server, ServerConfig};
 
 // The wire types the server speaks, re-exported for embedders.

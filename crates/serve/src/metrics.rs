@@ -1,14 +1,21 @@
 //! Service counters, latency histograms, and their Prometheus text
 //! rendering.
 //!
-//! All counters are relaxed atomics — they are monotonic tallies scraped
-//! for observability, not synchronisation points — so the request and
-//! worker paths pay one uncontended atomic add per event.  Latencies use
-//! the log-bucketed [`Histogram`] from `simdsim-obs` (three relaxed adds
-//! per observation), rendered in the Prometheus histogram exposition
-//! format with one `endpoint` label per request family.
+//! Each signal is declared once, as a [`Metrics`] field, and read once,
+//! by its row in [`Metrics::render`] — `/metrics` renders straight from
+//! the atomics, with no intermediate copy.  Counters are relaxed atomics
+//! — monotonic tallies scraped for observability, not synchronisation
+//! points — so the request and worker paths pay one uncontended atomic
+//! add per event.  Latencies use the log-bucketed [`Histogram`] from
+//! `simdsim-obs` (three relaxed adds per observation), rendered in the
+//! Prometheus histogram exposition format with one `endpoint` label per
+//! request family.  Requests are counted by that histogram alone:
+//! `simdsim_http_requests_total{endpoint}` is its observation count, so
+//! it counts every answered request (404s and 405s included) and always
+//! equals `simdsim_http_request_duration_ms_count{endpoint}`.  Values the
+//! counters cannot hold (queue depth, live workers, pending cells,
+//! recorder drops) are sampled by the caller into [`Gauges`].
 
-use serde::Serialize;
 use simdsim_obs::Histogram;
 use simdsim_sweep::{CpiStack, StallCause, NUM_REGIONS, NUM_STALL_CAUSES, REGION_LABELS};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,11 +64,13 @@ pub fn endpoint_index(method: &str, path: &str) -> usize {
     }
 }
 
-/// The gauge values a [`MetricsSnapshot`] cannot derive from the counter
-/// block — the caller samples them at snapshot time.  A typed struct so
-/// forgetting one is a compile error, not a silent zero on `/metrics`.
+/// The values [`Metrics::render`] cannot derive from the counter block —
+/// the caller samples them at scrape time.  A typed struct so forgetting
+/// one is a compile error, not a silent zero on `/metrics`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Gauges {
+    /// Queued (not yet running) jobs.
+    pub queue_depth: u64,
     /// Fleet workers currently within their liveness contract.
     pub fleet_workers_live: u64,
     /// Cells queued for fleet dispatch and not currently leased.
@@ -75,27 +84,8 @@ pub struct Gauges {
 /// Shared counter block, updated by connection handlers and job workers.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// HTTP requests answered, by endpoint family.
-    pub requests_healthz: AtomicU64,
-    /// `GET /scenarios` requests.
-    pub requests_scenarios: AtomicU64,
-    /// `POST /sweeps` requests.
-    pub requests_submit: AtomicU64,
-    /// `GET /sweeps/{id}` requests.
-    pub requests_status: AtomicU64,
-    /// `GET /sweeps` (listing) requests.
-    pub requests_list: AtomicU64,
-    /// `GET /sweeps/{id}/cells` (cursor stream) requests.
-    pub requests_cells: AtomicU64,
-    /// `DELETE /sweeps/{id}` (cancel) requests.
-    pub requests_cancel: AtomicU64,
-    /// `GET /metrics` requests.
-    pub requests_metrics: AtomicU64,
-    /// Fleet-surface requests (`/workers/*`, `/store/snapshot`).
-    pub requests_fleet: AtomicU64,
-    /// `GET /debug/events` (flight-recorder) requests.
-    pub requests_debug: AtomicU64,
-    /// Requests answered with 4xx/5xx.
+    /// Requests answered with 4xx/5xx, plus protocol errors (malformed
+    /// requests), which never reach a latency histogram.
     pub requests_errors: AtomicU64,
     /// Jobs accepted onto the queue.
     pub jobs_submitted: AtomicU64,
@@ -140,126 +130,11 @@ pub struct Metrics {
     /// cell's profile by [`Metrics::record_stalls`].  Flattened
     /// `cause × NUM_REGIONS + region`, matching `CpiStack::stall_slots`.
     pub stall_cycles: [AtomicU64; STALL_SLOTS],
-    /// Request latency per endpoint family, indexed by [`HTTP_ENDPOINTS`].
+    /// Request latency per endpoint family, indexed by [`HTTP_ENDPOINTS`];
+    /// its counts are also the per-endpoint request totals.
     pub http_ms: [Histogram; HTTP_ENDPOINTS.len()],
     /// Lease-grant→report latency per accepted fleet unit.
     pub fleet_report_ms: Histogram,
-}
-
-/// A point-in-time copy of every counter, plus the queue depth sampled at
-/// snapshot time.  This is what `/metrics` renders and what
-/// `report::render_server_stats` tabulates.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct MetricsSnapshot {
-    /// `GET /healthz` requests.
-    pub requests_healthz: u64,
-    /// `GET /scenarios` requests.
-    pub requests_scenarios: u64,
-    /// `POST /sweeps` requests.
-    pub requests_submit: u64,
-    /// `GET /sweeps/{id}` requests.
-    pub requests_status: u64,
-    /// `GET /sweeps` (listing) requests.
-    pub requests_list: u64,
-    /// `GET /sweeps/{id}/cells` (cursor stream) requests.
-    pub requests_cells: u64,
-    /// `DELETE /sweeps/{id}` (cancel) requests.
-    pub requests_cancel: u64,
-    /// `GET /metrics` requests.
-    pub requests_metrics: u64,
-    /// Fleet-surface requests (`/workers/*`, `/store/snapshot`).
-    pub requests_fleet: u64,
-    /// `GET /debug/events` (flight-recorder) requests.
-    pub requests_debug: u64,
-    /// Requests answered with 4xx/5xx.
-    pub requests_errors: u64,
-    /// Jobs accepted onto the queue.
-    pub jobs_submitted: u64,
-    /// Of those, submissions coalesced onto an identical in-flight job.
-    pub jobs_coalesced: u64,
-    /// Jobs rejected because the queue was full.
-    pub jobs_rejected: u64,
-    /// Jobs finished with every cell Ok.
-    pub jobs_completed: u64,
-    /// Jobs finished with at least one failed cell.
-    pub jobs_failed: u64,
-    /// Jobs cancelled.
-    pub jobs_cancelled: u64,
-    /// Queued (not yet running) jobs at snapshot time.
-    pub queue_depth: u64,
-    /// Cells served from the content-addressed store.
-    pub cells_cached: u64,
-    /// Cells simulated.
-    pub cells_simulated: u64,
-    /// Committed instructions across all simulated cells.
-    pub sim_instrs: u64,
-    /// Seconds of simulation wall time (summed across workers).
-    pub sim_wall_seconds: f64,
-    /// Fleet workers that registered.
-    pub fleet_workers_registered: u64,
-    /// Fleet workers evicted for missing heartbeats.
-    pub fleet_workers_evicted: u64,
-    /// Leases granted to fleet workers.
-    pub fleet_leases_granted: u64,
-    /// Leases that expired without a full report.
-    pub fleet_leases_expired: u64,
-    /// Cells leased with cache affinity.
-    pub fleet_leases_affinity: u64,
-    /// Cell results accepted from fleet workers.
-    pub fleet_cells_reported: u64,
-    /// Reported results dropped as stale.
-    pub fleet_reports_stale: u64,
-    /// Cells re-queued after a lease expiry or eviction.
-    pub fleet_cells_requeued: u64,
-    /// Stalled commit slots by `cause × NUM_REGIONS + region`, the
-    /// flattened layout of `CpiStack::stall_slots`.
-    pub stall_cycles: [u64; STALL_SLOTS],
-    /// Live fleet workers at snapshot time (gauge, from [`Gauges`]).
-    pub fleet_workers_live: u64,
-    /// Cells awaiting dispatch at snapshot time (gauge, from [`Gauges`]).
-    pub fleet_pending_cells: u64,
-    /// Flight-recorder events dropped to overflow (sampled, [`Gauges`]).
-    pub flight_recorder_dropped: u64,
-}
-
-impl MetricsSnapshot {
-    /// Fraction of resolved cells served from the store, in `[0, 1]`
-    /// (0 before any cell resolved).
-    #[must_use]
-    pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.cells_cached + self.cells_simulated;
-        if total == 0 {
-            0.0
-        } else {
-            self.cells_cached as f64 / total as f64
-        }
-    }
-
-    /// Aggregate simulation throughput in millions of committed
-    /// instructions per second (0 before any simulation).
-    #[must_use]
-    pub fn simulated_mips(&self) -> f64 {
-        if self.sim_wall_seconds <= 0.0 {
-            0.0
-        } else {
-            self.sim_instrs as f64 / self.sim_wall_seconds / 1.0e6
-        }
-    }
-
-    /// Total HTTP requests across all endpoints.
-    #[must_use]
-    pub fn requests_total(&self) -> u64 {
-        self.requests_healthz
-            + self.requests_scenarios
-            + self.requests_submit
-            + self.requests_status
-            + self.requests_list
-            + self.requests_cells
-            + self.requests_cancel
-            + self.requests_metrics
-            + self.requests_fleet
-            + self.requests_debug
-    }
 }
 
 impl Metrics {
@@ -290,57 +165,197 @@ impl Metrics {
         self.http_ms[endpoint.min(HTTP_ENDPOINTS.len() - 1)].observe(ms);
     }
 
-    /// Copies every counter.  `queue_depth` and the fleet gauges cannot
-    /// be derived from the counter block, so the caller samples them —
-    /// the typed [`Gauges`] argument exists because an earlier snapshot
-    /// API silently defaulted them to zero and `/metrics` lied.
+    /// Seconds of simulation wall time, summed across workers.
     #[must_use]
-    pub fn snapshot(&self, queue_depth: usize, gauges: Gauges) -> MetricsSnapshot {
-        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        MetricsSnapshot {
-            requests_healthz: get(&self.requests_healthz),
-            requests_scenarios: get(&self.requests_scenarios),
-            requests_submit: get(&self.requests_submit),
-            requests_status: get(&self.requests_status),
-            requests_list: get(&self.requests_list),
-            requests_cells: get(&self.requests_cells),
-            requests_cancel: get(&self.requests_cancel),
-            requests_metrics: get(&self.requests_metrics),
-            requests_fleet: get(&self.requests_fleet),
-            requests_debug: get(&self.requests_debug),
-            requests_errors: get(&self.requests_errors),
-            jobs_submitted: get(&self.jobs_submitted),
-            jobs_coalesced: get(&self.jobs_coalesced),
-            jobs_rejected: get(&self.jobs_rejected),
-            jobs_completed: get(&self.jobs_completed),
-            jobs_failed: get(&self.jobs_failed),
-            jobs_cancelled: get(&self.jobs_cancelled),
-            queue_depth: queue_depth as u64,
-            cells_cached: get(&self.cells_cached),
-            cells_simulated: get(&self.cells_simulated),
-            sim_instrs: get(&self.sim_instrs),
-            sim_wall_seconds: get(&self.sim_wall_micros) as f64 / 1.0e6,
-            fleet_workers_registered: get(&self.fleet_workers_registered),
-            fleet_workers_evicted: get(&self.fleet_workers_evicted),
-            fleet_leases_granted: get(&self.fleet_leases_granted),
-            fleet_leases_expired: get(&self.fleet_leases_expired),
-            fleet_leases_affinity: get(&self.fleet_leases_affinity),
-            fleet_cells_reported: get(&self.fleet_cells_reported),
-            fleet_reports_stale: get(&self.fleet_reports_stale),
-            fleet_cells_requeued: get(&self.fleet_cells_requeued),
-            stall_cycles: std::array::from_fn(|i| get(&self.stall_cycles[i])),
-            fleet_workers_live: gauges.fleet_workers_live,
-            fleet_pending_cells: gauges.fleet_pending_cells,
-            flight_recorder_dropped: gauges.flight_recorder_dropped,
+    pub fn sim_wall_seconds(&self) -> f64 {
+        self.sim_wall_micros.load(Ordering::Relaxed) as f64 / 1.0e6
+    }
+
+    /// Fraction of resolved cells served from the store, in `[0, 1]`
+    /// (0 before any cell resolved).
+    #[must_use]
+    pub fn cache_hit_ratio(&self) -> f64 {
+        let cached = self.cells_cached.load(Ordering::Relaxed);
+        let total = cached + self.cells_simulated.load(Ordering::Relaxed);
+        if total == 0 {
+            0.0
+        } else {
+            cached as f64 / total as f64
         }
     }
 
-    /// Appends every latency-histogram family to a Prometheus exposition
-    /// body (the counters render separately via [`render_prometheus`],
-    /// which works from a copyable snapshot; histograms render straight
-    /// off the atomics).
-    pub fn render_histograms(&self, out: &mut String) {
+    /// Aggregate simulation throughput in millions of committed
+    /// instructions per second (0 before any simulation).
+    #[must_use]
+    pub fn simulated_mips(&self) -> f64 {
+        let secs = self.sim_wall_seconds();
+        if secs <= 0.0 {
+            0.0
+        } else {
+            self.sim_instrs.load(Ordering::Relaxed) as f64 / secs / 1.0e6
+        }
+    }
+
+    /// Renders every counter, gauge and histogram in the Prometheus text
+    /// exposition format.
+    #[must_use]
+    pub fn render(&self, g: Gauges) -> String {
         use std::fmt::Write as _;
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let mut out = String::new();
+        // One family per call; `key` is the family's label name (empty for
+        // an unlabelled counter) and each row gives its value.
+        let mut counter = |name: &str, help: &str, key: &str, rows: &[(&str, u64)]| {
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = writeln!(out, "# TYPE {name} counter");
+            for (label, v) in rows {
+                if key.is_empty() {
+                    let _ = writeln!(out, "{name} {v}");
+                } else {
+                    let _ = writeln!(out, "{name}{{{key}=\"{label}\"}} {v}");
+                }
+            }
+        };
+        let requests: Vec<(&str, u64)> = HTTP_ENDPOINTS
+            .iter()
+            .zip(&self.http_ms)
+            .map(|(name, hist)| (*name, hist.count()))
+            .collect();
+        counter(
+            "simdsim_http_requests_total",
+            "HTTP requests answered, by endpoint.",
+            "endpoint",
+            &requests,
+        );
+        counter(
+            "simdsim_http_request_errors_total",
+            "Requests answered with a 4xx/5xx status.",
+            "",
+            &[("", get(&self.requests_errors))],
+        );
+        counter(
+            "simdsim_jobs_total",
+            "Sweep jobs, by disposition.",
+            "state",
+            &[
+                ("submitted", get(&self.jobs_submitted)),
+                ("coalesced", get(&self.jobs_coalesced)),
+                ("rejected", get(&self.jobs_rejected)),
+                ("completed", get(&self.jobs_completed)),
+                ("failed", get(&self.jobs_failed)),
+                ("cancelled", get(&self.jobs_cancelled)),
+            ],
+        );
+        counter(
+            "simdsim_cells_total",
+            "Sweep cells resolved, by source.",
+            "source",
+            &[
+                ("cache", get(&self.cells_cached)),
+                ("simulated", get(&self.cells_simulated)),
+            ],
+        );
+        counter(
+            "simdsim_simulated_instructions_total",
+            "Committed instructions across all simulated cells.",
+            "",
+            &[("", get(&self.sim_instrs))],
+        );
+        counter(
+            "simdsim_fleet_workers_total",
+            "Fleet workers, by disposition.",
+            "event",
+            &[
+                ("registered", get(&self.fleet_workers_registered)),
+                ("evicted", get(&self.fleet_workers_evicted)),
+            ],
+        );
+        counter(
+            "simdsim_fleet_leases_total",
+            "Work leases, by disposition.",
+            "event",
+            &[
+                ("granted", get(&self.fleet_leases_granted)),
+                ("expired", get(&self.fleet_leases_expired)),
+            ],
+        );
+        counter(
+            "simdsim_leases_affinity_total",
+            "Cells leased to the worker whose cache already held their key.",
+            "",
+            &[("", get(&self.fleet_leases_affinity))],
+        );
+        counter(
+            "simdsim_fleet_cells_total",
+            "Fleet-dispatched cells, by disposition.",
+            "event",
+            &[
+                ("reported", get(&self.fleet_cells_reported)),
+                ("stale", get(&self.fleet_reports_stale)),
+                ("requeued", get(&self.fleet_cells_requeued)),
+            ],
+        );
+        counter(
+            "simdsim_flight_recorder_dropped_total",
+            "Flight-recorder events dropped to ring overflow.",
+            "",
+            &[("", g.flight_recorder_dropped)],
+        );
+        {
+            let name = "simdsim_stall_cycles_total";
+            let _ = writeln!(
+                out,
+                "# HELP {name} Commit slots lost to each stall cause, by code region."
+            );
+            let _ = writeln!(out, "# TYPE {name} counter");
+            for cause in &StallCause::ALL {
+                for (region, label) in REGION_LABELS.iter().enumerate() {
+                    let v = get(&self.stall_cycles[*cause as usize * NUM_REGIONS + region]);
+                    let _ = writeln!(
+                        out,
+                        "{name}{{cause=\"{}\",region=\"{label}\"}} {v}",
+                        cause.label()
+                    );
+                }
+            }
+        }
+
+        let mut gauge = |name: &str, help: &str, v: String| {
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = writeln!(out, "# TYPE {name} gauge");
+            let _ = writeln!(out, "{name} {v}");
+        };
+        gauge(
+            "simdsim_queue_depth",
+            "Jobs queued and not yet running.",
+            g.queue_depth.to_string(),
+        );
+        gauge(
+            "simdsim_cache_hit_ratio",
+            "Fraction of resolved cells served from the content-addressed store.",
+            format!("{:.6}", self.cache_hit_ratio()),
+        );
+        gauge(
+            "simdsim_simulated_wall_seconds",
+            "Wall-clock seconds spent simulating, summed across workers.",
+            format!("{:.6}", self.sim_wall_seconds()),
+        );
+        gauge(
+            "simdsim_simulated_mips",
+            "Aggregate simulation throughput in million instructions per second.",
+            format!("{:.3}", self.simulated_mips()),
+        );
+        gauge(
+            "simdsim_fleet_workers_live",
+            "Fleet workers currently within their liveness contract.",
+            g.fleet_workers_live.to_string(),
+        );
+        gauge(
+            "simdsim_fleet_pending_cells",
+            "Cells queued for fleet dispatch and not currently leased.",
+            g.fleet_pending_cells.to_string(),
+        );
+
         let _ = writeln!(
             out,
             "# HELP simdsim_http_request_duration_ms Request latency by endpoint family."
@@ -348,7 +363,7 @@ impl Metrics {
         let _ = writeln!(out, "# TYPE simdsim_http_request_duration_ms histogram");
         for (name, hist) in HTTP_ENDPOINTS.iter().zip(&self.http_ms) {
             hist.render_prometheus(
-                out,
+                &mut out,
                 "simdsim_http_request_duration_ms",
                 &format!("endpoint=\"{name}\""),
             );
@@ -359,162 +374,9 @@ impl Metrics {
         );
         let _ = writeln!(out, "# TYPE simdsim_fleet_report_latency_ms histogram");
         self.fleet_report_ms
-            .render_prometheus(out, "simdsim_fleet_report_latency_ms", "");
+            .render_prometheus(&mut out, "simdsim_fleet_report_latency_ms", "");
+        out
     }
-}
-
-/// Renders a snapshot in the Prometheus text exposition format.
-#[must_use]
-pub fn render_prometheus(s: &MetricsSnapshot) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let mut counter = |name: &str, help: &str, pairs: &[(&str, u64)]| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for (label, v) in pairs {
-            if label.is_empty() {
-                let _ = writeln!(out, "{name} {v}");
-            } else {
-                let _ = writeln!(out, "{name}{{{label}}} {v}");
-            }
-        }
-    };
-    counter(
-        "simdsim_http_requests_total",
-        "HTTP requests answered, by endpoint.",
-        &[
-            ("endpoint=\"healthz\"", s.requests_healthz),
-            ("endpoint=\"scenarios\"", s.requests_scenarios),
-            ("endpoint=\"sweep_submit\"", s.requests_submit),
-            ("endpoint=\"sweep_status\"", s.requests_status),
-            ("endpoint=\"sweep_list\"", s.requests_list),
-            ("endpoint=\"sweep_cells\"", s.requests_cells),
-            ("endpoint=\"sweep_cancel\"", s.requests_cancel),
-            ("endpoint=\"metrics\"", s.requests_metrics),
-            ("endpoint=\"fleet\"", s.requests_fleet),
-            ("endpoint=\"debug\"", s.requests_debug),
-        ],
-    );
-    counter(
-        "simdsim_http_request_errors_total",
-        "Requests answered with a 4xx/5xx status.",
-        &[("", s.requests_errors)],
-    );
-    counter(
-        "simdsim_jobs_total",
-        "Sweep jobs, by disposition.",
-        &[
-            ("state=\"submitted\"", s.jobs_submitted),
-            ("state=\"coalesced\"", s.jobs_coalesced),
-            ("state=\"rejected\"", s.jobs_rejected),
-            ("state=\"completed\"", s.jobs_completed),
-            ("state=\"failed\"", s.jobs_failed),
-            ("state=\"cancelled\"", s.jobs_cancelled),
-        ],
-    );
-    counter(
-        "simdsim_cells_total",
-        "Sweep cells resolved, by source.",
-        &[
-            ("source=\"cache\"", s.cells_cached),
-            ("source=\"simulated\"", s.cells_simulated),
-        ],
-    );
-    counter(
-        "simdsim_simulated_instructions_total",
-        "Committed instructions across all simulated cells.",
-        &[("", s.sim_instrs)],
-    );
-    counter(
-        "simdsim_fleet_workers_total",
-        "Fleet workers, by disposition.",
-        &[
-            ("event=\"registered\"", s.fleet_workers_registered),
-            ("event=\"evicted\"", s.fleet_workers_evicted),
-        ],
-    );
-    counter(
-        "simdsim_fleet_leases_total",
-        "Work leases, by disposition.",
-        &[
-            ("event=\"granted\"", s.fleet_leases_granted),
-            ("event=\"expired\"", s.fleet_leases_expired),
-        ],
-    );
-    counter(
-        "simdsim_leases_affinity_total",
-        "Cells leased to the worker whose cache already held their key.",
-        &[("", s.fleet_leases_affinity)],
-    );
-    counter(
-        "simdsim_fleet_cells_total",
-        "Fleet-dispatched cells, by disposition.",
-        &[
-            ("event=\"reported\"", s.fleet_cells_reported),
-            ("event=\"stale\"", s.fleet_reports_stale),
-            ("event=\"requeued\"", s.fleet_cells_requeued),
-        ],
-    );
-    counter(
-        "simdsim_flight_recorder_dropped_total",
-        "Flight-recorder events dropped to ring overflow.",
-        &[("", s.flight_recorder_dropped)],
-    );
-    {
-        let name = "simdsim_stall_cycles_total";
-        let _ = writeln!(
-            out,
-            "# HELP {name} Commit slots lost to each stall cause, by code region."
-        );
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for cause in &StallCause::ALL {
-            for (region, label) in REGION_LABELS.iter().enumerate() {
-                let v = s.stall_cycles[*cause as usize * NUM_REGIONS + region];
-                let _ = writeln!(
-                    out,
-                    "{name}{{cause=\"{}\",region=\"{label}\"}} {v}",
-                    cause.label()
-                );
-            }
-        }
-    }
-
-    let mut gauge = |name: &str, help: &str, v: String| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {v}");
-    };
-    gauge(
-        "simdsim_queue_depth",
-        "Jobs queued and not yet running.",
-        s.queue_depth.to_string(),
-    );
-    gauge(
-        "simdsim_cache_hit_ratio",
-        "Fraction of resolved cells served from the content-addressed store.",
-        format!("{:.6}", s.cache_hit_ratio()),
-    );
-    gauge(
-        "simdsim_simulated_wall_seconds",
-        "Wall-clock seconds spent simulating, summed across workers.",
-        format!("{:.6}", s.sim_wall_seconds),
-    );
-    gauge(
-        "simdsim_simulated_mips",
-        "Aggregate simulation throughput in million instructions per second.",
-        format!("{:.3}", s.simulated_mips()),
-    );
-    gauge(
-        "simdsim_fleet_workers_live",
-        "Fleet workers currently within their liveness contract.",
-        s.fleet_workers_live.to_string(),
-    );
-    gauge(
-        "simdsim_fleet_pending_cells",
-        "Cells queued for fleet dispatch and not currently leased.",
-        s.fleet_pending_cells.to_string(),
-    );
-    out
 }
 
 #[cfg(test)]
@@ -522,9 +384,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_and_render_cover_every_family() {
+    fn render_covers_every_family() {
         let m = Metrics::default();
-        m.requests_healthz.fetch_add(2, Ordering::Relaxed);
+        m.observe_http(endpoint_index("GET", "/v1/healthz"), 0.1);
+        m.observe_http(endpoint_index("GET", "/healthz"), 0.2);
         m.jobs_submitted.fetch_add(3, Ordering::Relaxed);
         m.fleet_workers_registered.fetch_add(1, Ordering::Relaxed);
         m.fleet_leases_affinity.fetch_add(6, Ordering::Relaxed);
@@ -534,22 +397,20 @@ mod tests {
         stack.stall_slots[StallCause::Memory as usize * NUM_REGIONS + 1] = 23; // vector
         m.record_stalls(&stack);
         m.record_stalls(&stack);
-        let s = m.snapshot(
-            4,
-            Gauges {
-                fleet_workers_live: 1,
-                fleet_pending_cells: 3,
-                flight_recorder_dropped: 9,
-            },
-        );
-        assert_eq!(s.queue_depth, 4);
-        assert_eq!(s.cells_cached, 5);
-        assert!((s.cache_hit_ratio() - 5.0 / 12.0).abs() < 1e-12);
-        assert!(s.simulated_mips() > 0.0);
+        assert_eq!(m.cells_cached.load(Ordering::Relaxed), 5);
+        assert!((m.cache_hit_ratio() - 5.0 / 12.0).abs() < 1e-12);
+        assert!(m.simulated_mips() > 0.0);
 
-        let text = render_prometheus(&s);
+        let text = m.render(Gauges {
+            queue_depth: 4,
+            fleet_workers_live: 1,
+            fleet_pending_cells: 3,
+            flight_recorder_dropped: 9,
+        });
         for needle in [
             "simdsim_http_requests_total{endpoint=\"healthz\"} 2",
+            "simdsim_http_requests_total{endpoint=\"scenarios\"} 0",
+            "simdsim_http_request_duration_ms_count{endpoint=\"healthz\"} 2",
             "simdsim_jobs_total{state=\"submitted\"} 3",
             "simdsim_cells_total{source=\"cache\"} 5",
             "simdsim_cells_total{source=\"simulated\"} 7",
@@ -572,10 +433,12 @@ mod tests {
 
     #[test]
     fn ratios_are_zero_before_any_work() {
-        let s = Metrics::default().snapshot(0, Gauges::default());
-        assert_eq!(s.cache_hit_ratio(), 0.0);
-        assert_eq!(s.simulated_mips(), 0.0);
-        assert_eq!(s.requests_total(), 0);
+        let m = Metrics::default();
+        assert_eq!(m.cache_hit_ratio(), 0.0);
+        assert_eq!(m.simulated_mips(), 0.0);
+        assert!(m
+            .render(Gauges::default())
+            .contains("simdsim_http_requests_total{endpoint=\"healthz\"} 0"));
     }
 
     #[test]
@@ -610,8 +473,7 @@ mod tests {
         m.observe_http(endpoint_index("POST", "/v1/sweeps"), 3.0);
         m.observe_http(endpoint_index("GET", "/v1/healthz"), 0.1);
         m.fleet_report_ms.observe(42.0);
-        let mut text = String::new();
-        m.render_histograms(&mut text);
+        let text = m.render(Gauges::default());
         for needle in [
             "# TYPE simdsim_http_request_duration_ms histogram",
             "simdsim_http_request_duration_ms_bucket{endpoint=\"sweep_submit\",le=\"4\"} 1",

@@ -34,12 +34,12 @@ use crate::exec::{spawn_workers, ExecContext};
 use crate::fleet::{Fleet, FleetConfig};
 use crate::http::{parse_request, write_response, Request, Response};
 use crate::jobs::{CancelOutcome, JobQueue, RetentionPolicy};
-use crate::metrics::{endpoint_index, render_prometheus, Gauges, Metrics};
+use crate::metrics::{endpoint_index, Gauges, Metrics};
 use simdsim_api::{
     ApiError, BatchSubmitItem, BatchSubmitRequest, BatchSubmitResponse, CellsPage, CpiProfile,
-    DebugEvent, DebugEvents, ErrorCode, Health, JobList, LeaseRequest, ProfileResponse,
-    RegisterRequest, ReportRequest, ScenarioInfo, SnapshotImported, StoreSnapshot,
-    StoreSnapshotEntry, SubmitResponse, SweepRequest,
+    DebugEvents, ErrorCode, Health, JobList, LeaseRequest, ProfileResponse, RegisterRequest,
+    ReportRequest, ScenarioInfo, SnapshotImported, StoreSnapshot, StoreSnapshotEntry,
+    SubmitResponse, SweepRequest,
 };
 use simdsim_obs::{Event, EventFilter, FlightRecorder, TraceId, TRACE_HEADER};
 use simdsim_sweep::{EngineOptions, ResultStore, Scenario, StoredCell, CACHE_SCHEMA_VERSION};
@@ -138,6 +138,18 @@ struct Shared {
     log_json: bool,
 }
 
+impl Shared {
+    /// Samples the values the counter block cannot hold.
+    fn gauges(&self) -> Gauges {
+        Gauges {
+            queue_depth: self.queue.depth() as u64,
+            fleet_workers_live: self.fleet.live_workers() as u64,
+            fleet_pending_cells: self.fleet.pending_cells(),
+            flight_recorder_dropped: self.recorder.dropped(),
+        }
+    }
+}
+
 /// A running daemon; dropping it does **not** stop the threads — call
 /// [`Server::shutdown`].
 pub struct Server {
@@ -199,7 +211,7 @@ impl Server {
         let ctx = ExecContext {
             opts,
             metrics: Arc::clone(&metrics),
-            fleet: Some(fleet),
+            fleet,
             recorder: Arc::clone(&recorder),
         };
         let worker_threads = spawn_workers(cfg.job_workers, &queue, &ctx);
@@ -267,18 +279,17 @@ impl Server {
         self.addr
     }
 
-    /// A point-in-time copy of the service counters (what `/metrics`
-    /// renders), for in-process embedders like the `loadgen` harness.
+    /// The live service counters (what `/metrics` renders), for
+    /// in-process embedders like the `loadgen` harness.
     #[must_use]
-    pub fn metrics_snapshot(&self) -> crate::metrics::MetricsSnapshot {
-        self.shared.metrics.snapshot(
-            self.shared.queue.depth(),
-            Gauges {
-                fleet_workers_live: self.shared.fleet.live_workers() as u64,
-                fleet_pending_cells: self.shared.fleet.pending_cells(),
-                flight_recorder_dropped: self.shared.recorder.dropped(),
-            },
-        )
+    pub fn metrics(&self) -> &Metrics {
+        &self.shared.metrics
+    }
+
+    /// The gauges `/metrics` samples next to the counters, read now.
+    #[must_use]
+    pub fn gauges(&self) -> Gauges {
+        self.shared.gauges()
     }
 
     /// Stops accepting connections, drains no further jobs, and joins the
@@ -369,7 +380,10 @@ fn observe_request(req: &Request, status: u16, elapsed: Duration, shared: &Share
     if shared.log_json {
         let mut line = span();
         line.ts_ms = simdsim_obs::now_ms();
-        println!("{}", line.to_json());
+        println!(
+            "{}",
+            serde_json::to_string(&line).expect("events serialize")
+        );
     }
     if matches!(req.method.as_str(), "POST" | "PUT" | "DELETE") {
         shared.recorder.record(span());
@@ -395,19 +409,12 @@ fn route(req: &Request, shared: &Shared) -> Response {
 }
 
 fn route_inner(req: &Request, shared: &Shared) -> Response {
-    let bump = |a: &std::sync::atomic::AtomicU64| {
-        a.fetch_add(1, Ordering::Relaxed);
-    };
     let path = req.path.strip_prefix("/v1").unwrap_or(&req.path);
     let path = if path.is_empty() { "/" } else { path };
 
     match (req.method.as_str(), path) {
-        ("GET", "/healthz") => {
-            bump(&shared.metrics.requests_healthz);
-            json_dto(200, &Health::ok(shared.queue.depth() as u64))
-        }
+        ("GET", "/healthz") => json_dto(200, &Health::ok(shared.queue.depth() as u64)),
         ("GET", "/scenarios") => {
-            bump(&shared.metrics.requests_scenarios);
             let list: Vec<ScenarioInfo> = shared
                 .scenarios
                 .iter()
@@ -421,7 +428,6 @@ fn route_inner(req: &Request, shared: &Shared) -> Response {
             json_dto(200, &list)
         }
         ("GET", "/sweeps") => {
-            bump(&shared.metrics.requests_list);
             let jobs = shared
                 .queue
                 .list()
@@ -436,60 +442,22 @@ fn route_inner(req: &Request, shared: &Shared) -> Response {
                 .collect();
             json_dto(200, &JobList { jobs })
         }
-        ("POST", "/sweeps") => {
-            bump(&shared.metrics.requests_submit);
-            submit_sweep(req, shared)
-        }
-        ("POST", "/sweeps:batch") => {
-            bump(&shared.metrics.requests_submit);
-            submit_batch(req, shared)
-        }
+        ("POST", "/sweeps") => submit_sweep(req, shared),
+        ("POST", "/sweeps:batch") => submit_batch(req, shared),
         ("GET", p) if p.starts_with("/sweeps/") => sweep_get(p, req, shared),
-        ("DELETE", p) if p.starts_with("/sweeps/") => {
-            bump(&shared.metrics.requests_cancel);
-            cancel_sweep(&p["/sweeps/".len()..], shared)
-        }
-        ("POST", "/workers/register") => {
-            bump(&shared.metrics.requests_fleet);
-            match body_json::<RegisterRequest>(req) {
-                Ok(r) => json_dto(200, &shared.fleet.register(&r)),
-                Err(e) => Response::api_error(&e),
-            }
-        }
-        ("GET", "/workers") => {
-            bump(&shared.metrics.requests_fleet);
-            json_dto(200, &shared.fleet.status())
-        }
+        ("DELETE", p) if p.starts_with("/sweeps/") => cancel_sweep(&p["/sweeps/".len()..], shared),
+        ("POST", "/workers/register") => match body_json::<RegisterRequest>(req) {
+            Ok(r) => json_dto(200, &shared.fleet.register(&r)),
+            Err(e) => Response::api_error(&e),
+        },
+        ("GET", "/workers") => json_dto(200, &shared.fleet.status()),
         ("POST", p) if p.starts_with("/workers/") => {
-            bump(&shared.metrics.requests_fleet);
             worker_post(&p["/workers/".len()..], req, shared)
         }
-        ("GET", "/store/snapshot") => {
-            bump(&shared.metrics.requests_fleet);
-            store_export(shared)
-        }
-        ("PUT", "/store/snapshot") => {
-            bump(&shared.metrics.requests_fleet);
-            store_import(req, shared)
-        }
-        ("GET", "/debug/events") => {
-            bump(&shared.metrics.requests_debug);
-            debug_events(req, shared)
-        }
-        ("GET", "/metrics") => {
-            bump(&shared.metrics.requests_metrics);
-            let snapshot = shared.metrics.snapshot(
-                shared.queue.depth(),
-                Gauges {
-                    fleet_workers_live: shared.fleet.live_workers() as u64,
-                    fleet_pending_cells: shared.fleet.pending_cells(),
-                    flight_recorder_dropped: shared.recorder.dropped(),
-                },
-            );
-            let mut text = render_prometheus(&snapshot);
-            shared.metrics.render_histograms(&mut text);
-            Response::text(200, text)
-        }
+        ("GET", "/store/snapshot") => store_export(shared),
+        ("PUT", "/store/snapshot") => store_import(req, shared),
+        ("GET", "/debug/events") => debug_events(req, shared),
+        ("GET", "/metrics") => Response::text(200, shared.metrics.render(shared.gauges())),
         ("GET" | "POST" | "DELETE", _) => Response::api_error(&ApiError::new(
             ErrorCode::NotFound,
             format!("no route for {}", req.path),
@@ -533,22 +501,12 @@ fn sweep_get(path: &str, req: &Request, shared: &Shared) -> Response {
     };
     match view {
         SweepView::Status => {
-            shared
-                .metrics
-                .requests_status
-                .fetch_add(1, Ordering::Relaxed);
             return json_dto(
                 200,
                 &shared.queue.status_for(id).expect("job just looked up"),
             );
         }
         SweepView::Profile => {
-            // Counted under the status family: a profile poll has the
-            // same shape and cost as a status poll.
-            shared
-                .metrics
-                .requests_status
-                .fetch_add(1, Ordering::Relaxed);
             let (stack, cells, missing) = job.profile_aggregate();
             let state = if id_cancelled {
                 simdsim_api::JobState::Cancelled
@@ -569,10 +527,6 @@ fn sweep_get(path: &str, req: &Request, shared: &Shared) -> Response {
         SweepView::Cells => {}
     }
 
-    shared
-        .metrics
-        .requests_cells
-        .fetch_add(1, Ordering::Relaxed);
     let since = match req.query_param("since").map(str::parse::<u64>) {
         None => 0,
         Some(Ok(n)) => n,
@@ -643,13 +597,7 @@ fn debug_events(req: &Request, shared: &Shared) -> Response {
         }
     }
     let (events, dropped) = shared.recorder.snapshot(&filter);
-    json_dto(
-        200,
-        &DebugEvents {
-            events: events.iter().map(DebugEvent::from_event).collect(),
-            dropped,
-        },
-    )
+    json_dto(200, &DebugEvents { events, dropped })
 }
 
 /// Routes `DELETE /sweeps/{id}`.

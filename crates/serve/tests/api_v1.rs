@@ -9,6 +9,7 @@ use simdsim_api::{
 use simdsim_client::{ClientError, SimdsimClient};
 use simdsim_serve::{Server, ServerConfig};
 use simdsim_sweep::Scenario;
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(120);
@@ -114,11 +115,15 @@ fn submit_stream_dedup_and_golden_identical_cells() {
 
     // Exactly one engine run happened: 4 simulated cells total, one
     // coalesce recorded, zero served from cache.
-    let snap = server.metrics_snapshot();
-    assert_eq!(snap.cells_simulated, 4, "one engine run for two ids");
-    assert_eq!(snap.cells_cached, 0);
-    assert_eq!(snap.jobs_coalesced, 1);
-    assert_eq!(snap.jobs_completed, 1);
+    let snap = server.metrics();
+    assert_eq!(
+        snap.cells_simulated.load(Relaxed),
+        4,
+        "one engine run for two ids"
+    );
+    assert_eq!(snap.cells_cached.load(Relaxed), 0);
+    assert_eq!(snap.jobs_coalesced.load(Relaxed), 1);
+    assert_eq!(snap.jobs_completed.load(Relaxed), 1);
 
     // Closing the flow: cancelling the already-finished job is a typed
     // conflict, not a silent no-op.
@@ -173,8 +178,8 @@ fn cancelling_a_queued_job_drops_it_before_it_runs() {
         .expect("blocker finishes");
     assert_eq!(done.state, JobState::Done);
 
-    let snap = server.metrics_snapshot();
-    assert_eq!(snap.jobs_cancelled, 1);
+    let snap = server.metrics();
+    assert_eq!(snap.jobs_cancelled.load(Relaxed), 1);
     server.shutdown();
 }
 
@@ -223,9 +228,9 @@ fn cancelling_a_running_job_stops_between_cells() {
         result.cells.len()
     );
 
-    let snap = server.metrics_snapshot();
-    assert_eq!(snap.jobs_cancelled, 1);
-    assert_eq!(snap.jobs_completed, 0);
+    let snap = server.metrics();
+    assert_eq!(snap.jobs_cancelled.load(Relaxed), 1);
+    assert_eq!(snap.jobs_completed.load(Relaxed), 0);
     server.shutdown();
 }
 

@@ -14,6 +14,7 @@ use simdsim_api::{
 use simdsim_client::{spawn_worker, SimdsimClient, WorkerConfig};
 use simdsim_serve::{FleetConfig, Server, ServerConfig};
 use simdsim_sweep::execute_cell;
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(120);
@@ -125,9 +126,9 @@ fn sweep_sharded_across_two_workers_is_golden_identical() {
     assert_golden_identical(&result.cells);
 
     // The cells actually went over the wire, not through the local pool.
-    let snapshot = server.metrics_snapshot();
-    assert_eq!(snapshot.fleet_cells_reported, 4);
-    assert!(snapshot.fleet_leases_granted >= 1);
+    let snapshot = server.metrics();
+    assert_eq!(snapshot.fleet_cells_reported.load(Relaxed), 4);
+    assert!(snapshot.fleet_leases_granted.load(Relaxed) >= 1);
     let stats = [w1.stop().expect("w1"), w2.stop().expect("w2")];
     assert_eq!(
         stats.iter().map(|s| s.simulated + s.cached).sum::<u64>(),
@@ -188,10 +189,10 @@ fn worker_death_mid_lease_requeues_cells_and_stays_golden() {
     assert_eq!(result.failed, 0, "a dead worker must not fail cells");
     assert_golden_identical(&result.cells);
 
-    let snapshot = server.metrics_snapshot();
-    assert_eq!(snapshot.fleet_workers_evicted, 1);
-    assert_eq!(snapshot.fleet_cells_requeued, 4);
-    assert_eq!(snapshot.fleet_cells_reported, 4);
+    let snapshot = server.metrics();
+    assert_eq!(snapshot.fleet_workers_evicted.load(Relaxed), 1);
+    assert_eq!(snapshot.fleet_cells_requeued.load(Relaxed), 4);
+    assert_eq!(snapshot.fleet_cells_reported.load(Relaxed), 4);
     healthy.stop().expect("healthy worker");
 }
 
@@ -222,7 +223,7 @@ fn heartbeat_expiry_evicts_the_worker() {
         .register_worker(&RegisterRequest::default())
         .expect("re-register");
     assert_ne!(again.worker_id, reg.worker_id, "ids are never reused");
-    assert_eq!(server.metrics_snapshot().fleet_workers_evicted, 1);
+    assert_eq!(server.metrics().fleet_workers_evicted.load(Relaxed), 1);
 }
 
 /// Reporting the same lease twice is a no-op: the duplicate counts as
@@ -296,9 +297,9 @@ fn duplicate_report_is_a_stale_no_op() {
     let result = status.result.expect("result");
     assert_eq!(result.cells.len(), 4, "no cell resolved twice");
     assert_golden_identical(&result.cells);
-    let snapshot = server.metrics_snapshot();
-    assert_eq!(snapshot.fleet_cells_reported, 4);
-    assert_eq!(snapshot.fleet_reports_stale, 4);
+    let snapshot = server.metrics();
+    assert_eq!(snapshot.fleet_cells_reported.load(Relaxed), 4);
+    assert_eq!(snapshot.fleet_reports_stale.load(Relaxed), 4);
 }
 
 /// A store snapshot round-trips between two servers: export from one,

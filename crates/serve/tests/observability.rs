@@ -2,10 +2,11 @@
 //! every span it fans out into — coordinator job/lease events AND the
 //! worker-shipped unit spans — through `GET /v1/debug/events`, and the
 //! Prometheus surface must expose populated latency histograms after a
-//! sweep has run.
+//! sweep has run, with request totals that agree with those histograms.
 
 use simdsim_api::SweepRequest;
 use simdsim_client::{spawn_worker, SimdsimClient, WorkerConfig};
+use simdsim_serve::metrics::HTTP_ENDPOINTS;
 use simdsim_serve::{FleetConfig, Server, ServerConfig};
 use std::time::{Duration, Instant};
 
@@ -167,6 +168,53 @@ fn metrics_expose_populated_latency_histograms() {
     );
 
     drop(w.stop());
+    server.shutdown();
+}
+
+/// Every answered request is counted once, in its endpoint family's
+/// latency histogram, so `simdsim_http_requests_total{endpoint}` equals
+/// `simdsim_http_request_duration_ms_count{endpoint}` — 404s, 405s and
+/// malformed or unknown job ids included.
+#[test]
+fn request_totals_match_latency_histogram_counts() {
+    let server = start_server();
+    let mut c = connect(&server);
+    let sub = c
+        .submit(&SweepRequest::by_name("fig4").filter("/idct/"))
+        .expect("submit");
+    c.wait_timeout(sub.id, POLL, TIMEOUT).expect("job finishes");
+    for (method, path, status) in [
+        ("GET", "/v1/healthz", 200),
+        ("GET", "/v1/sweeps/abc", 400),
+        ("GET", "/v1/sweeps/999999", 404),
+        ("GET", "/v1/sweeps/999999/cells", 404),
+        ("GET", "/no/such/route", 404),
+        ("POST", "/v1/healthz", 404),
+        ("DELETE", "/v1/sweeps/abc", 400),
+        ("PATCH", "/v1/sweeps", 405),
+        ("GET", "/metrics", 200),
+    ] {
+        let resp = c.http().request(method, path).expect("request completes");
+        assert_eq!(resp.status, status, "{method} {path}");
+    }
+
+    let body = c.http().get("/metrics").expect("metrics scrape").body_str();
+    let value = |series: String| -> u64 {
+        body.lines()
+            .find_map(|l| l.strip_prefix(&series)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no `{series}` in:\n{body}"))
+    };
+    let mut total = 0;
+    for e in HTTP_ENDPOINTS {
+        let requests = value(format!("simdsim_http_requests_total{{endpoint=\"{e}\"}}"));
+        let observed = value(format!(
+            "simdsim_http_request_duration_ms_count{{endpoint=\"{e}\"}}"
+        ));
+        assert_eq!(requests, observed, "endpoint {e}");
+        total += requests;
+    }
+    // The submit, at least one status poll, and the nine requests above.
+    assert!(total >= 11, "only {total} requests counted");
     server.shutdown();
 }
 

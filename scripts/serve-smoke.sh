@@ -53,6 +53,12 @@ echo "${METRICS}" | grep -q 'simdsim_jobs_total{state="completed"} 1'
 echo "${METRICS}" | grep -q 'simdsim_jobs_total{state="cancelled"} 1'
 echo "${METRICS}" | grep -q '# TYPE simdsim_cache_hit_ratio gauge'
 echo "${METRICS}" | grep -q 'simdsim_simulated_mips'
+# Every answered request is counted once: the per-endpoint request totals
+# sum to the latency histogram's observation counts.
+REQS=$(echo "${METRICS}" | awk '/^simdsim_http_requests_total\{/ {s += $2} END {print s + 0}')
+OBSERVED=$(echo "${METRICS}" | awk '/^simdsim_http_request_duration_ms_count\{/ {s += $2} END {print s + 0}')
+[ "${REQS}" -gt 0 ] && [ "${REQS}" -eq "${OBSERVED}" ] \
+  || { echo "request totals ${REQS} != histogram counts ${OBSERVED}"; exit 1; }
 
 # The deprecated unversioned aliases still answer for legacy curl users.
 curl -sf "${BASE}/healthz" | grep -q '"ok"'
