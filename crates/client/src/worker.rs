@@ -10,10 +10,14 @@
 //! 2. Optionally warm-start the local result store from the
 //!    coordinator's snapshot (`GET /v1/store/snapshot`).
 //! 3. Long-poll `POST /v1/workers/{id}/lease`; every fleet call doubles
-//!    as a liveness signal, and while cells execute a background
-//!    heartbeat keeps the registration alive.
-//! 4. Simulate each leased cell ([`simdsim_sweep::execute_cell`]),
-//!    consulting the local store first, and report the batch.
+//!    as a liveness signal, and while cells execute the worker
+//!    heartbeats once per interval.
+//! 4. Hand the leased cells to the worker's `slots` simulation threads.
+//!    They are started once and live as long as the worker, so the
+//!    engine's per-thread pooled pipeline and decode memo stay warm
+//!    from one lease to the next.  Each slot consults the local store,
+//!    then simulates ([`simdsim_sweep::execute_cell`]); the batch report
+//!    leaves the moment the last cell lands.
 //!
 //! Getting `unknown_worker` (404) anywhere means the coordinator evicted
 //! us (a pause longer than the liveness contract, or a coordinator
@@ -27,10 +31,10 @@ use simdsim_api::{
     UnitResult,
 };
 use simdsim_obs::{now_ms, Event};
-use simdsim_sweep::{cell_key, execute_cell, ResultStore, StoredCell};
-use std::collections::VecDeque;
+use simdsim_sweep::{cell_key, execute_cell, run_jobs, ResultStore, StoredCell};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -119,56 +123,62 @@ pub fn run_worker(cfg: &WorkerConfig, stop: &AtomicBool) -> Result<WorkerStats, 
     // how often the stop flag is observed.
     let wait = (heartbeat / 2).max(Duration::from_millis(10));
 
-    let mut stats = WorkerStats::default();
-    while !stop.load(Ordering::Relaxed) {
-        let request = LeaseRequest {
-            max_cells: cfg.slots.max(1),
-            wait_ms: wait.as_millis() as u64,
-        };
-        let lease = match client.lease(reg.worker_id, &request) {
-            Ok(resp) => match resp.lease {
-                Some(lease) => lease,
-                None => continue, // no work arrived within the poll
-            },
-            Err(e) if is_eviction(&e) => {
-                reg = client.register_worker(&register(store.as_ref()))?;
-                continue;
+    let slots = usize::try_from(cfg.slots.max(1)).expect("slot count fits in usize");
+    with_slots(
+        slots,
+        |leased| execute_one(leased, store.as_ref()),
+        |pool| {
+            let mut stats = WorkerStats::default();
+            while !stop.load(Ordering::Relaxed) {
+                let request = LeaseRequest {
+                    max_cells: cfg.slots.max(1),
+                    wait_ms: wait.as_millis() as u64,
+                };
+                let lease = match client.lease(reg.worker_id, &request) {
+                    Ok(resp) => match resp.lease {
+                        Some(lease) => lease,
+                        None => continue, // no work arrived within the poll
+                    },
+                    Err(e) if is_eviction(&e) => {
+                        reg = client.register_worker(&register(store.as_ref()))?;
+                        continue;
+                    }
+                    Err(e) => return Err(e),
+                };
+                stats.leases += 1;
+                let worker = reg.worker_id;
+                let results = execute_lease(pool, &lease, heartbeat, || {
+                    // Liveness only; an eviction here surfaces on the next
+                    // lease/report call, which re-registers.
+                    let _ = client.heartbeat(worker);
+                });
+                for r in &results {
+                    if r.cached {
+                        stats.cached += 1;
+                    } else {
+                        stats.simulated += 1;
+                    }
+                }
+                let spans = unit_spans(&lease, &results, worker);
+                let report = ReportRequest {
+                    lease_id: lease.lease_id,
+                    results,
+                    spans,
+                };
+                match client.report(worker, &report) {
+                    // Evicted mid-lease: the cells were re-queued (or our
+                    // late report raced a re-execution — either way the
+                    // coordinator resolved them).  Rejoin and keep going.
+                    Err(e) if is_eviction(&e) => {
+                        reg = client.register_worker(&register(store.as_ref()))?;
+                    }
+                    Err(e) => return Err(e),
+                    Ok(_) => {}
+                }
             }
-            Err(e) => return Err(e),
-        };
-        stats.leases += 1;
-        let results = execute_lease(
-            &mut client,
-            reg.worker_id,
-            &lease,
-            store.as_ref(),
-            heartbeat,
-        );
-        for r in &results {
-            if r.cached {
-                stats.cached += 1;
-            } else {
-                stats.simulated += 1;
-            }
-        }
-        let spans = unit_spans(&lease, &results, reg.worker_id);
-        let report = ReportRequest {
-            lease_id: lease.lease_id,
-            results,
-            spans,
-        };
-        match client.report(reg.worker_id, &report) {
-            // Evicted mid-lease: the cells were re-queued (or our late
-            // report raced a re-execution — either way the coordinator
-            // resolved them).  Rejoin and keep going.
-            Err(e) if is_eviction(&e) => {
-                reg = client.register_worker(&register(store.as_ref()))?;
-            }
-            Err(e) => return Err(e),
-            Ok(_) => {}
-        }
-    }
-    Ok(stats)
+            Ok(stats)
+        },
+    )
 }
 
 fn is_eviction(e: &ClientError) -> bool {
@@ -228,40 +238,87 @@ fn top_stall(stack: &simdsim_sweep::CpiStack) -> Option<String> {
         .map(|(label, slots)| format!("{label}:{slots}"))
 }
 
-/// Simulates every cell of one lease, up to `slots` at a time, while the
-/// calling thread heartbeats so a long lease cannot get the worker
-/// evicted mid-execution.
-fn execute_lease(
-    client: &mut SimdsimClient,
-    worker: u64,
-    lease: &Lease,
-    store: Option<&ResultStore>,
-    heartbeat: Duration,
-) -> Vec<UnitResult> {
-    let queue: Mutex<VecDeque<&LeasedCell>> = Mutex::new(lease.cells.iter().collect());
-    let results: Mutex<Vec<UnitResult>> = Mutex::new(Vec::with_capacity(lease.cells.len()));
-    let threads = lease.cells.len().max(1);
+/// One leased cell, and where its slot sends the result.
+type SlotTask = (LeasedCell, Sender<UnitResult>);
+
+/// Starts the worker's `n` slot threads, which answer each cell queued
+/// on the sender `body` gets with `run_cell`, and joins them once `body`
+/// returns (dropping the sender ends every slot).
+fn with_slots<R>(
+    n: usize,
+    run_cell: impl Fn(&LeasedCell) -> UnitResult + Sync,
+    body: impl FnOnce(&Sender<SlotTask>) -> R,
+) -> R {
+    let (slots, queue) = mpsc::channel::<SlotTask>();
+    let queue = Mutex::new(queue);
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let next = queue.lock().expect("queue lock").pop_front();
-                let Some(leased) = next else { break };
-                let result = execute_one(leased, store);
-                results.lock().expect("results lock").push(result);
+        for _ in 0..n {
+            scope.spawn(|| slot(&queue, &run_cell));
+        }
+        // Moved in, so the sender drops when `body` returns, before the
+        // scope joins the slots.
+        let slots = slots;
+        body(&slots)
+    })
+}
+
+/// One slot thread: takes cells off the shared queue until it closes.
+fn slot(queue: &Mutex<Receiver<SlotTask>>, run_cell: &(impl Fn(&LeasedCell) -> UnitResult + Sync)) {
+    loop {
+        // The guard drops at the end of this statement, so only the idle
+        // slot blocked in `recv` holds the lock, never a running one.
+        let task = queue.lock().expect("slot queue lock").recv();
+        let Ok((leased, reply)) = task else { break };
+        // `run_jobs` on one item runs it on this thread under the
+        // scheduler's panic isolation: a panicking cell becomes that
+        // unit's error and the slot keeps serving.  Reusing this thread's
+        // pooled pipeline afterwards is safe: `simulate_in` resets it
+        // before every run.
+        let result = run_jobs(std::slice::from_ref(&leased), 1, run_cell)
+            .pop()
+            .expect("one result per job")
+            .unwrap_or_else(|panic| UnitResult {
+                unit: leased.unit,
+                cached: false,
+                wall_ms: 0.0,
+                stats: None,
+                error: Some(format!("cell panicked: {}", panic.message)),
+                phases: None,
             });
-        }
-        let mut last_beat = Instant::now();
-        while results.lock().expect("results lock").len() < lease.cells.len() {
-            std::thread::sleep(Duration::from_millis(5));
-            if last_beat.elapsed() >= heartbeat {
-                // Liveness only; an eviction here surfaces on the next
-                // lease/report call, which re-registers.
-                let _ = client.heartbeat(worker);
-                last_beat = Instant::now();
+        // The lease waits for every one of its units, so it is listening.
+        let _ = reply.send(result);
+    }
+}
+
+/// Hands every cell of one lease to the slots and returns the moment the
+/// last result lands, calling `beat` once per heartbeat interval until
+/// then, so a long lease cannot get the worker evicted mid-execution.
+fn execute_lease(
+    slots: &Sender<SlotTask>,
+    lease: &Lease,
+    heartbeat: Duration,
+    mut beat: impl FnMut(),
+) -> Vec<UnitResult> {
+    let (reply, replies) = mpsc::channel();
+    for leased in &lease.cells {
+        slots
+            .send((leased.clone(), reply.clone()))
+            .expect("slot queue open while the worker runs");
+    }
+    drop(reply);
+    let mut results = Vec::with_capacity(lease.cells.len());
+    let mut next_beat = Instant::now() + heartbeat;
+    while results.len() < lease.cells.len() {
+        match replies.recv_timeout(next_beat.saturating_duration_since(Instant::now())) {
+            Ok(result) => results.push(result),
+            Err(RecvTimeoutError::Timeout) => {
+                beat();
+                next_beat = Instant::now() + heartbeat;
             }
+            // Every slot answers each cell it takes, panics included.
+            Err(RecvTimeoutError::Disconnected) => unreachable!("a slot dropped a leased cell"),
         }
-    });
-    let mut results = results.into_inner().expect("results lock");
+    }
     // Deterministic report order regardless of which slot finished first.
     results.sort_by_key(|r| r.unit);
     results
@@ -370,5 +427,110 @@ pub fn spawn_worker(cfg: WorkerConfig) -> WorkerHandle {
     WorkerHandle {
         stop,
         thread: Some(thread),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    const BEAT: Duration = Duration::from_millis(10);
+
+    /// A heartbeat that fails the test instead of letting a lease whose
+    /// slot died wait forever.
+    fn stall_guard() -> impl FnMut() {
+        let start = Instant::now();
+        move || assert!(start.elapsed() < Duration::from_secs(60), "lease stalled")
+    }
+
+    fn lease(units: std::ops::Range<u64>) -> Lease {
+        let cell = simdsim_sweep::catalog::fig4().expand().remove(0);
+        Lease {
+            lease_id: units.start,
+            ttl_ms: 60_000,
+            cells: units
+                .map(|unit| LeasedCell {
+                    unit,
+                    cell: cell.clone(),
+                    job: None,
+                    trace: None,
+                })
+                .collect(),
+        }
+    }
+
+    fn ok(leased: &LeasedCell) -> UnitResult {
+        UnitResult {
+            unit: leased.unit,
+            cached: false,
+            wall_ms: 0.0,
+            stats: None,
+            error: None,
+            phases: None,
+        }
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_its_unit_and_the_slot_keeps_serving() {
+        let threads = Mutex::new(HashSet::new());
+        let run_cell = |leased: &LeasedCell| {
+            assert_ne!(leased.unit, 2, "injected failure");
+            threads
+                .lock()
+                .expect("threads lock")
+                .insert(std::thread::current().id());
+            ok(leased)
+        };
+        with_slots(1, run_cell, |slots| {
+            let first = execute_lease(slots, &lease(0..4), BEAT, stall_guard());
+            assert_eq!(
+                first.iter().map(|r| r.unit).collect::<Vec<_>>(),
+                [0, 1, 2, 3]
+            );
+            for r in &first {
+                if r.unit == 2 {
+                    let err = r.error.as_deref().expect("the panic is the unit's error");
+                    assert!(err.starts_with("cell panicked: "), "{err}");
+                    assert!(err.contains("injected failure"), "{err}");
+                } else {
+                    assert_eq!(r.error, None, "unit {}", r.unit);
+                }
+            }
+            let second = execute_lease(slots, &lease(4..7), BEAT, stall_guard());
+            assert_eq!(second.iter().map(|r| r.unit).collect::<Vec<_>>(), [4, 5, 6]);
+            assert!(second.iter().all(|r| r.error.is_none()));
+        });
+        assert_eq!(
+            threads.into_inner().expect("threads lock").len(),
+            1,
+            "one slot served both leases on one thread"
+        );
+    }
+
+    #[test]
+    fn a_lease_heartbeats_while_its_cells_run() {
+        // The cell cannot finish before the third heartbeat releases it.
+        let (release, released) = mpsc::channel::<()>();
+        let released = Mutex::new(released);
+        let run_cell = |leased: &LeasedCell| {
+            released
+                .lock()
+                .expect("release lock")
+                .recv_timeout(Duration::from_secs(60))
+                .expect("the third heartbeat releases the cell");
+            ok(leased)
+        };
+        let mut beats = 0;
+        let results = with_slots(1, run_cell, |slots| {
+            execute_lease(slots, &lease(0..1), BEAT, || {
+                beats += 1;
+                if beats == 3 {
+                    release.send(()).expect("cell waiting");
+                }
+            })
+        });
+        assert_eq!(results.len(), 1);
+        assert!(beats >= 3, "{beats} heartbeats");
     }
 }

@@ -19,7 +19,7 @@ use simdsim_obs::{Event, FlightRecorder};
 use simdsim_sweep::{run_with_executor, EngineOptions};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Everything a job-worker thread needs to execute jobs: the engine
 /// options applied to every run, the service counters, and the fleet to
@@ -151,12 +151,4 @@ pub fn spawn_workers(
                 .expect("spawn sweep worker")
         })
         .collect()
-}
-
-/// Polls `job` until it reaches a terminal state, sleeping `interval`
-/// between checks (test/CLI helper).
-pub fn wait_finished(job: &Job, interval: Duration) {
-    while !job.finished() {
-        std::thread::sleep(interval);
-    }
 }

@@ -69,7 +69,7 @@ pub mod jobs;
 pub mod metrics;
 pub mod server;
 
-pub use exec::{run_job, spawn_workers, wait_finished, ExecContext};
+pub use exec::{run_job, spawn_workers, ExecContext};
 pub use fleet::{Fleet, FleetConfig, FleetExecutor};
 pub use http::{Request, Response};
 pub use jobs::{CancelOutcome, Job, JobQueue, RetentionPolicy, Submission};

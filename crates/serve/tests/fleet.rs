@@ -196,6 +196,48 @@ fn worker_death_mid_lease_requeues_cells_and_stays_golden() {
     healthy.stop().expect("healthy worker");
 }
 
+/// A leased cell that runs for several heartbeat intervals keeps its
+/// worker alive: the worker heartbeats while it waits on its slots, so
+/// the coordinator neither evicts it nor re-queues the cell.
+#[test]
+fn long_lease_heartbeats_keep_the_worker_alive() {
+    // Over three intervals of silence evict a worker.  In a debug build
+    // the leased cell simulates for about six.
+    const HEARTBEAT_MS: u64 = 30;
+    let server = start_server(fast_fleet(HEARTBEAT_MS, 60_000));
+    let mut c = connect(&server);
+    let worker = spawn_worker(WorkerConfig {
+        slots: 1,
+        ..worker_config(&server, "slow")
+    });
+    wait_live_workers(&mut c, 1);
+
+    let sub = c
+        .submit(&SweepRequest::by_name("fig4").filter("/idct/mmx64/"))
+        .expect("submit");
+    let status = c.wait_timeout(sub.id, POLL, TIMEOUT).expect("job finishes");
+    assert_eq!(status.state, simdsim_api::JobState::Done);
+    let result = status.result.expect("result");
+    assert_eq!(result.cells.len(), 1, "fig4 /idct/mmx64/ yields 1 cell");
+    assert_eq!(result.failed, 0);
+    assert_golden_identical(&result.cells);
+    if cfg!(debug_assertions) {
+        let simulate_ms = result.cells[0].phases.expect("phases").simulate_ms;
+        assert!(
+            simulate_ms > 3.0 * HEARTBEAT_MS as f64,
+            "the cell ({simulate_ms} ms) must outlast the liveness window"
+        );
+    }
+
+    let snapshot = server.metrics();
+    assert_eq!(snapshot.fleet_workers_registered.load(Relaxed), 1);
+    assert_eq!(snapshot.fleet_workers_evicted.load(Relaxed), 0);
+    let body = c.http().get("/metrics").expect("metrics scrape").body_str();
+    assert!(body.contains("simdsim_fleet_cells_total{event=\"requeued\"} 0"));
+    let stats = worker.stop().expect("worker");
+    assert_eq!((stats.leases, stats.simulated), (1, 1));
+}
+
 /// Missing heartbeats evicts a worker: its id answers `unknown_worker`
 /// (404) everywhere, it disappears from the fleet listing, and
 /// re-registering yields a fresh id.
