@@ -14,9 +14,10 @@
 //!    heartbeats once per interval.
 //! 4. Hand the leased cells to the worker's `slots` simulation threads.
 //!    They are started once and live as long as the worker, so the
-//!    engine's per-thread pooled pipeline and decode memo stay warm
+//!    engine's per-thread pooled pipelines and decode memo stay warm
 //!    from one lease to the next.  Each slot consults the local store,
-//!    then simulates ([`simdsim_sweep::execute_cell`]); the batch report
+//!    then simulates ([`simdsim_sweep::execute_cell`], one cell per
+//!    emulation: leases are not grouped by trace); the batch report
 //!    leaves the moment the last cell lands.
 //!
 //! Getting `unknown_worker` (404) anywhere means the coordinator evicted
@@ -272,8 +273,8 @@ fn slot(queue: &Mutex<Receiver<SlotTask>>, run_cell: &(impl Fn(&LeasedCell) -> U
         // `run_jobs` on one item runs it on this thread under the
         // scheduler's panic isolation: a panicking cell becomes that
         // unit's error and the slot keeps serving.  Reusing this thread's
-        // pooled pipeline afterwards is safe: `simulate_in` resets it
-        // before every run.
+        // pooled pipelines afterwards is safe: `simulate_in` resets each
+        // one it uses before every run.
         let result = run_jobs(std::slice::from_ref(&leased), 1, run_cell)
             .pop()
             .expect("one result per job")

@@ -12,6 +12,7 @@ use simdsim_mem::{CacheStats, MemSystem, MemTimingStats};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::time::{Duration, Instant};
 
 const RING: usize = 1 << 14;
 
@@ -218,6 +219,7 @@ impl Pipeline {
     /// Creates a pipeline in its reset state.
     #[must_use]
     pub fn new(cfg: PipeConfig) -> Self {
+        debug_assert!(cfg.validate().is_ok(), "invalid PipeConfig: {cfg:?}");
         Self {
             mem: MemSystem::new(cfg.mem),
             bpred: Gshare::new(cfg.bpred_entries),
@@ -272,6 +274,7 @@ impl Pipeline {
     /// rewritten.  The caches and the predictor are emptied in place, so a
     /// pooled pipeline replaying many cells allocates nothing per cell.
     pub fn reset(&mut self, cfg: PipeConfig) {
+        debug_assert!(cfg.validate().is_ok(), "invalid PipeConfig: {cfg:?}");
         // Every claimed ring cycle precedes its instruction's commit, so
         // all tags written so far are below the new base.
         self.ring_base += self.commit_cursor + 1;
@@ -778,17 +781,78 @@ thread_local! {
     /// cloning a fresh multi-megabyte machine.
     static SCRATCH: RefCell<Option<Machine>> = const { RefCell::new(None) };
 
-    /// Per-thread pooled [`Pipeline`] behind every `simulate*` entry
-    /// point.  [`Pipeline::reset`] retires its resource ring and
-    /// store-line table by moving tags, so a pooled run's fixed cost does
-    /// not grow with those tables.
-    static PIPE_POOL: RefCell<Option<Pipeline>> = const { RefCell::new(None) };
+    /// Per-thread pooled [`Pipeline`]s behind every `simulate*` entry
+    /// point, one per configuration of the widest call so far.
+    /// [`Pipeline::reset`] retires each one's resource ring and store-line
+    /// table by moving tags, so a pooled run's fixed cost does not grow
+    /// with those tables.
+    static PIPE_POOL: RefCell<Vec<Pipeline>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Dynamic instructions the fan-out sink buffers before replaying them
+/// into each pipeline.  Each buffered [`DynInstr`] is 56 bytes, so a chunk
+/// is 112 KB: small enough to stay cache-resident while every pipeline
+/// replays it, large enough that switching pipelines is rare.
+const CHUNK: usize = 2048;
+
+/// One configuration's result from [`simulate_in`].
+#[derive(Debug, Clone)]
+pub struct TimedRun {
+    /// The run's timing statistics under this configuration.
+    pub stats: PipeStats,
+    /// The run's CPI stack, when profiling was on.
+    pub cpi: Option<CpiStack>,
+    /// Wall time spent replaying the buffered trace into this
+    /// configuration's pipeline.  Zero for a lone configuration, whose
+    /// timing is interleaved with emulation and not separable from it.
+    pub replay: Duration,
+}
+
+/// The [`TraceSink`] that times one trace on several pipelines: it
+/// buffers [`CHUNK`] instructions, then replays the chunk into every
+/// pipeline in turn, timing each replay.  The predecoded entry of a
+/// buffered instruction is looked up again by its `pc`.
+struct FanOut<'a> {
+    table: &'a [DecodedInstr],
+    pipes: &'a mut [Pipeline],
+    replay: Vec<Duration>,
+    buf: Vec<DynInstr>,
+}
+
+impl FanOut<'_> {
+    fn flush(&mut self) {
+        for (pipe, spent) in self.pipes.iter_mut().zip(&mut self.replay) {
+            let start = Instant::now();
+            for di in &self.buf {
+                pipe.push(di, &self.table[di.pc as usize]);
+            }
+            *spent += start.elapsed();
+        }
+        self.buf.clear();
+    }
+}
+
+impl TraceSink for FanOut<'_> {
+    fn push(&mut self, di: &DynInstr, _dec: &DecodedInstr) {
+        self.buf.push(*di);
+        if self.buf.len() == CHUNK {
+            self.flush();
+        }
+    }
 }
 
 /// Runs the decoded program on `machine` **in place** (its registers and
-/// memory are consumed as the run's working state), streaming the dynamic
-/// trace through the per-thread pooled [`Pipeline`] reset to `cfg`.  With
-/// `profile` the run also returns its [`CpiStack`].
+/// memory are consumed as the run's working state) and times the one
+/// dynamic trace on every configuration of `cfgs`, each on a per-thread
+/// pooled [`Pipeline`] reset to it.  Returns one [`TimedRun`] per
+/// configuration, in order; with `profile` each carries its [`CpiStack`].
+///
+/// The functional run does not depend on the configuration, so a group of
+/// configurations shares one build, decode and emulation.  A lone
+/// configuration streams straight into its pipeline; several are fed
+/// through a sink that buffers [`CHUNK`] instructions and replays each
+/// chunk into every pipeline in turn.  Either way each pipeline sees the
+/// trace in order, so its statistics equal a run of its own.
 ///
 /// This is the entry point for callers that own a machine they will not
 /// reuse, such as the sweep engine running a freshly built workload; the
@@ -796,26 +860,51 @@ thread_local! {
 ///
 /// # Errors
 ///
-/// Propagates emulation errors ([`EmuError`]).
+/// Propagates emulation errors ([`EmuError`]); one error fails the whole
+/// group.
 pub fn simulate_in(
     machine: &mut Machine,
     dec: &Decoded,
-    cfg: &PipeConfig,
+    cfgs: &[PipeConfig],
     max_instrs: u64,
     profile: bool,
-) -> Result<(RunStats, PipeStats, Option<CpiStack>), EmuError> {
+) -> Result<(RunStats, Vec<TimedRun>), EmuError> {
     PIPE_POOL.with(|p| {
-        let mut slot = p.borrow_mut();
-        let pipe = match slot.as_mut() {
-            Some(pipe) => {
-                pipe.reset(*cfg);
-                pipe
+        let mut pool = p.borrow_mut();
+        for (i, cfg) in cfgs.iter().enumerate() {
+            match pool.get_mut(i) {
+                Some(pipe) => pipe.reset(*cfg),
+                None => pool.push(Pipeline::new(*cfg)),
             }
-            None => slot.insert(Pipeline::new(*cfg)),
+            pool[i].set_profiling(profile);
+        }
+        let pipes = &mut pool[..cfgs.len()];
+        let (rs, replay) = if let [pipe] = pipes {
+            (
+                machine.run_decoded(dec, pipe, max_instrs)?,
+                vec![Duration::ZERO],
+            )
+        } else {
+            let mut fan = FanOut {
+                table: dec.instrs(),
+                pipes,
+                replay: vec![Duration::ZERO; cfgs.len()],
+                buf: Vec::with_capacity(CHUNK),
+            };
+            let rs = machine.run_decoded(dec, &mut fan, max_instrs)?;
+            fan.flush();
+            (rs, fan.replay)
         };
-        pipe.set_profiling(profile);
-        let rs = machine.run_decoded(dec, pipe, max_instrs)?;
-        Ok((rs, pipe.stats(), pipe.cpi_stack()))
+        let runs = pool[..cfgs.len()]
+            .iter()
+            .zip(replay)
+            .map(|(pipe, replay)| TimedRun {
+                stats: pipe.stats(),
+                cpi: pipe.cpi_stack(),
+                replay,
+            })
+            .collect();
+        Ok((rs, runs))
     })
 }
 
@@ -850,8 +939,8 @@ pub fn simulate_decoded(
     cfg: &PipeConfig,
     max_instrs: u64,
 ) -> Result<(RunStats, PipeStats), EmuError> {
-    let (rs, t, _) = scratch_run(dec, machine, cfg, max_instrs, false)?;
-    Ok((rs, t))
+    let (rs, run) = scratch_run(dec, machine, cfg, max_instrs, false)?;
+    Ok((rs, run.stats))
 }
 
 /// [`simulate_decoded`] with cycle accounting enabled: additionally
@@ -869,18 +958,19 @@ pub fn simulate_decoded_profiled(
     cfg: &PipeConfig,
     max_instrs: u64,
 ) -> Result<(RunStats, PipeStats, CpiStack), EmuError> {
-    let (rs, t, stack) = scratch_run(dec, machine, cfg, max_instrs, true)?;
-    Ok((rs, t, stack.expect("profiling was enabled")))
+    let (rs, run) = scratch_run(dec, machine, cfg, max_instrs, true)?;
+    Ok((rs, run.stats, run.cpi.expect("profiling was enabled")))
 }
 
-/// [`simulate_in`] on the per-thread scratch copy of `machine`.
+/// [`simulate_in`] of one configuration on the per-thread scratch copy of
+/// `machine`.
 fn scratch_run(
     dec: &Decoded,
     machine: &Machine,
     cfg: &PipeConfig,
     max_instrs: u64,
     profile: bool,
-) -> Result<(RunStats, PipeStats, Option<CpiStack>), EmuError> {
+) -> Result<(RunStats, TimedRun), EmuError> {
     SCRATCH.with(|s| {
         let mut slot = s.borrow_mut();
         let m = match slot.as_mut() {
@@ -890,7 +980,8 @@ fn scratch_run(
             }
             None => slot.insert(machine.clone()),
         };
-        simulate_in(m, dec, cfg, max_instrs, profile)
+        let (rs, mut runs) = simulate_in(m, dec, std::slice::from_ref(cfg), max_instrs, profile)?;
+        Ok((rs, runs.pop().expect("one run per configuration")))
     })
 }
 

@@ -9,13 +9,13 @@ use crate::store::{cell_key, CacheKey, ResultStore, StoredCell};
 use serde::{Deserialize, Serialize};
 use simdsim_isa::{ClassCounts, Decoded};
 use simdsim_mem::{CacheStats, MemTimingStats};
-use simdsim_pipe::{simulate_in, CpiStack, PipeConfig};
+use simdsim_pipe::{simulate_in, CpiStack, PipeConfig, PipeStats};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The per-cell failure message of a cell skipped by a cancelled run.
@@ -165,7 +165,8 @@ pub struct CellPhases {
     /// Content-addressed store probe (hit or miss).
     pub probe_ms: f64,
     /// Workload build + instruction predecode (amortised across cells by
-    /// the per-thread decode memo, so often near zero).
+    /// the per-thread decode memo, so often near zero, and split evenly
+    /// across the cells timed on one shared trace).
     pub decode_ms: f64,
     /// The pipeline simulation itself.
     pub simulate_ms: f64,
@@ -197,7 +198,9 @@ pub struct CellOutcome {
     /// The statistics, or the per-cell failure.
     pub stats: Result<CellStats, SweepError>,
     /// Wall-clock time spent simulating this cell in this run (zero for
-    /// cached cells and for cells whose job panicked).
+    /// cached cells and for cells whose job panicked).  A cell timed on a
+    /// shared trace gets its own replay plus an equal share of the shared
+    /// build, decode and emulation.
     pub wall: Duration,
     /// Where this cell's wall time went (probe/decode/simulate/store).
     pub phases: CellPhases,
@@ -473,7 +476,9 @@ pub fn run_with_executor(
             wall: out.wall,
             phases,
         });
-        *slots[out.index].lock().expect("slot lock") =
+        *slots[out.index]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) =
             Some((out.cached, out.stats, out.wall, phases));
     });
 
@@ -493,7 +498,7 @@ pub fn run_with_executor(
             Prep::Pending { key, .. } => {
                 let (cached, result, wall, mut phases) = slots[i]
                     .lock()
-                    .expect("slot lock")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .take()
                     .unwrap_or_else(|| {
                         // The executor contract says this cannot happen;
@@ -563,7 +568,17 @@ pub fn execute_cell(cell: &Cell) -> CellExecution {
             wall: Duration::ZERO,
             phases: CellPhases::default(),
         },
-        Ok(cfg) => exec_cell(cell, &cfg, true),
+        Ok(cfg) => {
+            let task = CellTask {
+                index: 0,
+                cell: cell.clone(),
+                cfg,
+                profile: true,
+            };
+            exec_run(std::slice::from_ref(&task))
+                .pop()
+                .expect("one execution per cell")
+        }
     }
 }
 
@@ -598,45 +613,89 @@ fn memo_decode(cell: &Cell, program: &simdsim_isa::Program) -> Rc<Decoded> {
     })
 }
 
-/// Simulates one cell on its resolved configuration, measuring the
-/// wall-clock time of the simulation itself (workload build included —
-/// it is part of the cost a cache hit saves).  The cell owns its freshly
-/// built machine, so the simulation runs on it in place
-/// ([`simulate_in`], through the per-thread pooled pipeline) with no copy
-/// of the memory image.
-pub(crate) fn exec_cell(cell: &Cell, cfg: &PipeConfig, profile: bool) -> CellExecution {
+/// Simulates a run of cells that share one trace — the same workload,
+/// extension, instruction budget and profiling flag, each on its own
+/// resolved configuration — and returns one execution per task, in order.
+///
+/// The workload is built, decoded and emulated once, on the machine just
+/// built for it ([`simulate_in`], through the per-thread pooled
+/// pipelines, with no copy of the memory image), and the trace is timed
+/// on every task's configuration.  Each cell's wall time (workload build
+/// included — it is part of the cost a cache hit saves) is its own replay
+/// plus an equal share of the shared build, decode and emulation, so the
+/// run's cell walls sum to the run's wall.  A build or emulation error
+/// fails every cell with the same message, as running them one by one
+/// would.
+pub(crate) fn exec_run(tasks: &[CellTask]) -> Vec<CellExecution> {
+    let first = &tasks[0].cell;
+    let cfgs: Vec<PipeConfig> = tasks.iter().map(|t| t.cfg).collect();
     let start = Instant::now();
-    let mut phases = CellPhases::default();
+    let mut decode_ms = 0.0;
+    let mut simulate_ms = 0.0;
     let result = (|| {
         let decode = Instant::now();
-        let mut built = cell
-            .workload
-            .build(cell.ext)
-            .map_err(|m| SweepError::new(cell, m))?;
-        let dec = memo_decode(cell, &built.program);
-        phases.decode_ms = decode.elapsed().as_secs_f64() * 1.0e3;
+        let mut built = first.workload.build(first.ext)?;
+        let dec = memo_decode(first, &built.program);
+        decode_ms = decode.elapsed().as_secs_f64() * 1.0e3;
         let simulate = Instant::now();
-        let (_, t, stack) = simulate_in(&mut built.machine, &dec, cfg, cell.instr_limit, profile)
-            .map_err(|e| SweepError::new(cell, e.to_string()))?;
-        phases.simulate_ms = simulate.elapsed().as_secs_f64() * 1.0e3;
-        Ok(CellStats {
-            cycles: t.cycles,
-            instrs: t.instrs,
-            ipc: t.ipc(),
-            vector_cycles: t.vector_region_cycles,
-            scalar_cycles: t.scalar_region_cycles,
-            branches: t.branches,
-            mispredicts: t.mispredicts,
-            counts: t.counts,
-            l1: t.l1,
-            l2: t.l2,
-            memsys: t.memsys,
-            profile: stack,
-        })
+        let (_, runs) = simulate_in(
+            &mut built.machine,
+            &dec,
+            &cfgs,
+            first.instr_limit,
+            tasks[0].profile,
+        )
+        .map_err(|e| e.to_string())?;
+        simulate_ms = simulate.elapsed().as_secs_f64() * 1.0e3;
+        Ok::<_, String>(runs)
     })();
-    CellExecution {
-        stats: result,
-        wall: start.elapsed(),
-        phases,
+    let wall = start.elapsed();
+
+    let cells: Vec<(Result<CellStats, SweepError>, Duration)> = match result {
+        Ok(runs) => runs
+            .into_iter()
+            .map(|r| (Ok(cell_stats(&r.stats, r.cpi)), r.replay))
+            .collect(),
+        Err(msg) => tasks
+            .iter()
+            .map(|t| (Err(SweepError::new(&t.cell, msg.clone())), Duration::ZERO))
+            .collect(),
+    };
+    let n = tasks.len() as u32;
+    let replayed: Duration = cells.iter().map(|c| c.1).sum();
+    let shared = wall.saturating_sub(replayed);
+    let shared_simulate_ms = (simulate_ms - replayed.as_secs_f64() * 1.0e3).max(0.0);
+    // The first cell takes the nanoseconds an even split leaves over.
+    let rest = shared - shared / n * n;
+    cells
+        .into_iter()
+        .enumerate()
+        .map(|(i, (stats, replay))| CellExecution {
+            stats,
+            wall: replay + shared / n + if i == 0 { rest } else { Duration::ZERO },
+            phases: CellPhases {
+                decode_ms: decode_ms / f64::from(n),
+                simulate_ms: replay.as_secs_f64() * 1.0e3 + shared_simulate_ms / f64::from(n),
+                ..CellPhases::default()
+            },
+        })
+        .collect()
+}
+
+/// The engine's per-cell result from one configuration's timing run.
+fn cell_stats(t: &PipeStats, profile: Option<CpiStack>) -> CellStats {
+    CellStats {
+        cycles: t.cycles,
+        instrs: t.instrs,
+        ipc: t.ipc(),
+        vector_cycles: t.vector_region_cycles,
+        scalar_cycles: t.scalar_region_cycles,
+        branches: t.branches,
+        mispredicts: t.mispredicts,
+        counts: t.counts,
+        l1: t.l1,
+        l2: t.l2,
+        memsys: t.memsys,
+        profile,
     }
 }

@@ -4,13 +4,14 @@
 //! [`run_with_executor`](crate::engine::run_with_executor) hands the
 //! engine's pending cells to a [`CellExecutor`] and consumes
 //! [`TaskOutcome`]s as they resolve.  [`LocalExecutor`] is the in-process
-//! implementation on the work-stealing pool — byte-for-byte the engine's
-//! historical behaviour.  The serving layer provides a remote
+//! implementation on the work-stealing pool; it times cells that share a
+//! trace on one emulation, and every cell's statistics are byte-for-byte
+//! those of a run of its own.  The serving layer provides a remote
 //! implementation that leases the same tasks to registered worker
 //! processes, which is how one job is satisfied transparently by local
 //! threads or by a fleet.
 
-use crate::engine::{exec_cell, CellPhases, CellStats, SweepError, CANCELLED_CELL_MESSAGE};
+use crate::engine::{exec_run, CellPhases, CellStats, SweepError, CANCELLED_CELL_MESSAGE};
 use crate::scenario::Cell;
 use crate::scheduler;
 use simdsim_pipe::PipeConfig;
@@ -67,7 +68,11 @@ pub trait CellExecutor: Sync {
 }
 
 /// The in-process executor: cells run on the crate's work-stealing pool
-/// with per-job panic isolation, exactly as the engine always has.
+/// with per-job panic isolation.  Cells that share a trace (the same
+/// workload, extension, instruction budget and profiling flag) are
+/// grouped in expansion order and each run of at most [`FAN_WIDTH`] of
+/// them is one job: the workload is built, decoded and emulated once and
+/// timed on every cell's configuration.
 #[derive(Debug, Clone, Default)]
 pub struct LocalExecutor {
     /// Worker-pool size; `None` uses the available parallelism.
@@ -82,6 +87,37 @@ impl LocalExecutor {
     }
 }
 
+/// Most cells one emulation is timed on.  Three is Fig. 5's width axis,
+/// so the paper grid groups whole; each live pipeline holds about 0.4 MB
+/// (its resource ring, cache tag arrays and touched store-line pages), so
+/// wider runs cost memory for little more speed.
+const FAN_WIDTH: usize = 3;
+
+/// `true` when `a` and `b` produce the same dynamic trace.
+fn shares_trace(a: &CellTask, b: &CellTask) -> bool {
+    a.cell.workload == b.cell.workload
+        && a.cell.ext == b.cell.ext
+        && a.cell.instr_limit == b.cell.instr_limit
+        && a.profile == b.profile
+}
+
+/// Groups `tasks` by trace in order of first appearance, keeping
+/// expansion order within a group, and splits each group into runs of at
+/// most [`FAN_WIDTH`].
+fn runs(tasks: Vec<CellTask>) -> Vec<Vec<CellTask>> {
+    let mut groups: Vec<Vec<CellTask>> = Vec::new();
+    for task in tasks {
+        match groups.iter_mut().find(|g| shares_trace(&g[0], &task)) {
+            Some(group) => group.push(task),
+            None => groups.push(vec![task]),
+        }
+    }
+    groups
+        .iter()
+        .flat_map(|group| group.chunks(FAN_WIDTH).map(<[CellTask]>::to_vec))
+        .collect()
+}
+
 impl CellExecutor for LocalExecutor {
     fn execute(
         &self,
@@ -90,38 +126,40 @@ impl CellExecutor for LocalExecutor {
         done: &(dyn Fn(TaskOutcome) + Sync),
     ) {
         let workers = self.jobs.unwrap_or_else(scheduler::default_workers);
-        let results = scheduler::run_jobs(&tasks, workers, |task| {
-            // Cooperative cancellation: cells that have not started when
+        let runs = runs(tasks);
+        let failed = |task: &CellTask, message: &str| TaskOutcome {
+            index: task.index,
+            cached: false,
+            stats: Err(SweepError::new(&task.cell, message)),
+            wall: Duration::ZERO,
+            phases: CellPhases::default(),
+        };
+        let results = scheduler::run_jobs(&runs, workers, |run| {
+            // Cooperative cancellation: runs that have not started when
             // the flag goes up resolve as errors instead of simulating.
-            let (stats, wall, phases) = if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                (
-                    Err(SweepError::new(&task.cell, CANCELLED_CELL_MESSAGE)),
-                    Duration::ZERO,
-                    CellPhases::default(),
-                )
-            } else {
-                let run = exec_cell(&task.cell, &task.cfg, task.profile);
-                (run.stats, run.wall, run.phases)
-            };
-            done(TaskOutcome {
-                index: task.index,
-                cached: false,
-                stats,
-                wall,
-                phases,
-            });
-        });
-        // A panicked job never reached its `done` call; resolve it here so
-        // the executor honours the once-per-task contract.
-        for (task, result) in tasks.iter().zip(results) {
-            if let Err(panic) = result {
+            if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+                for task in run {
+                    done(failed(task, CANCELLED_CELL_MESSAGE));
+                }
+                return;
+            }
+            for (task, exec) in run.iter().zip(exec_run(run)) {
                 done(TaskOutcome {
                     index: task.index,
                     cached: false,
-                    stats: Err(SweepError::new(&task.cell, panic.to_string())),
-                    wall: Duration::ZERO,
-                    phases: CellPhases::default(),
+                    stats: exec.stats,
+                    wall: exec.wall,
+                    phases: exec.phases,
                 });
+            }
+        });
+        // A panicked job never reached its `done` calls; resolve its cells
+        // here so the executor honours the once-per-task contract.
+        for (run, result) in runs.iter().zip(results) {
+            if let Err(panic) = result {
+                for task in run {
+                    done(failed(task, &panic.to_string()));
+                }
             }
         }
     }
@@ -130,19 +168,28 @@ impl CellExecutor for LocalExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::execute_cell;
+    use crate::scenario::{OverrideSet, WorkloadRef};
     use simdsim_isa::Ext;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
 
-    fn task(index: usize) -> CellTask {
-        let cell = Cell {
+    fn cell(kernel: &str, way: usize, instr_limit: u64) -> Cell {
+        Cell {
             scenario: "x".to_owned(),
-            workload: crate::scenario::WorkloadRef::Kernel("idct".to_owned()),
+            workload: WorkloadRef::Kernel(kernel.to_owned()),
             ext: Ext::Mmx64,
-            way: 2,
-            overrides: crate::scenario::OverrideSet::default(),
-            instr_limit: 200_000,
-        };
+            way,
+            overrides: OverrideSet::default(),
+            instr_limit,
+        }
+    }
+
+    fn task(index: usize) -> CellTask {
+        task_of(index, cell("idct", 2, 200_000))
+    }
+
+    fn task_of(index: usize, cell: Cell) -> CellTask {
         let cfg = cell.config().expect("paper config");
         CellTask {
             index,
@@ -150,6 +197,30 @@ mod tests {
             cfg,
             profile: true,
         }
+    }
+
+    /// Four cells sharing one trace (two runs: `FAN_WIDTH` plus one).
+    fn one_trace(kernel: &str, instr_limit: u64) -> Vec<CellTask> {
+        [2, 4, 8, 2]
+            .into_iter()
+            .enumerate()
+            .map(|(i, way)| task_of(i, cell(kernel, way, instr_limit)))
+            .collect()
+    }
+
+    /// Every outcome of `tasks`, sorted by index, after checking that each
+    /// task resolved exactly once.
+    fn resolve(tasks: Vec<CellTask>, cancel: Option<&AtomicBool>) -> Vec<TaskOutcome> {
+        let n = tasks.len();
+        let seen = Mutex::new(Vec::new());
+        LocalExecutor::new(Some(2)).execute(tasks, cancel, &|out| {
+            seen.lock().expect("lock").push(out);
+        });
+        let mut seen = seen.into_inner().expect("lock");
+        seen.sort_by_key(|o| o.index);
+        let indices: Vec<usize> = seen.iter().map(|o| o.index).collect();
+        assert_eq!(indices, (0..n).collect::<Vec<_>>(), "each task once");
+        seen
     }
 
     #[test]
@@ -169,11 +240,47 @@ mod tests {
     }
 
     #[test]
+    fn cells_sharing_a_trace_split_into_runs_of_fan_width() {
+        let mut tasks = one_trace("idct", 200_000);
+        tasks.push(task_of(4, cell("rgb", 2, 200_000)));
+        let runs = runs(tasks);
+        let shape: Vec<Vec<usize>> = runs
+            .iter()
+            .map(|r| r.iter().map(|t| t.index).collect())
+            .collect();
+        assert_eq!(shape, vec![vec![0, 1, 2], vec![3], vec![4]]);
+    }
+
+    #[test]
     fn cancelled_tasks_resolve_as_cancelled_errors() {
         let cancel = AtomicBool::new(true);
-        LocalExecutor::new(Some(1)).execute(vec![task(0)], Some(&cancel), &|out| {
+        for out in resolve(one_trace("idct", 200_000), Some(&cancel)) {
             let err = out.stats.expect_err("cancelled");
             assert_eq!(err.message, CANCELLED_CELL_MESSAGE);
-        });
+        }
+    }
+
+    /// Every cell of a failing trace fails with the message the cell gets
+    /// when it runs alone.
+    fn assert_run_fails_as_alone(tasks: Vec<CellTask>) {
+        let alone = execute_cell(&tasks[0].cell)
+            .stats
+            .expect_err("the cell fails alone");
+        let cells: Vec<String> = tasks.iter().map(|t| t.cell.label()).collect();
+        for (out, label) in resolve(tasks, None).into_iter().zip(cells) {
+            let err = out.stats.expect_err("every cell of the run fails");
+            assert_eq!(err.message, alone.message);
+            assert_eq!(err.cell, label);
+        }
+    }
+
+    #[test]
+    fn an_instruction_limit_fails_every_cell_of_the_run() {
+        assert_run_fails_as_alone(one_trace("idct", 100));
+    }
+
+    #[test]
+    fn an_unknown_kernel_fails_every_cell_of_the_run() {
+        assert_run_fails_as_alone(one_trace("no-such-kernel", 200_000));
     }
 }

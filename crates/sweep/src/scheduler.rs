@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Mutex, PoisonError};
 
 /// A job that panicked, with the panic payload rendered as text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,7 +67,10 @@ where
     let queues: Vec<Mutex<VecDeque<usize>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
     for i in 0..n {
-        queues[i % workers].lock().expect("queue lock").push_back(i);
+        queues[i % workers]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push_back(i);
     }
 
     let (tx, rx) = mpsc::channel::<(usize, Result<R, JobPanic>)>();
@@ -110,13 +113,21 @@ fn run_one<T, R>(f: &impl Fn(&T) -> R, item: &T) -> Result<R, JobPanic> {
 /// drain (jobs never enqueue new jobs), so an empty full scan means the
 /// worker is done.
 fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    if let Some(i) = queues[w].lock().expect("queue lock").pop_front() {
+    if let Some(i) = queues[w]
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .pop_front()
+    {
         return Some(i);
     }
     let n = queues.len();
     for offset in 1..n {
         let victim = &queues[(w + offset) % n];
-        if let Some(i) = victim.lock().expect("queue lock").pop_back() {
+        if let Some(i) = victim
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop_back()
+        {
             return Some(i);
         }
     }

@@ -1,12 +1,13 @@
 //! Pooled-vs-fresh equivalence of the timing model.  A sweep worker
-//! replays every cell through one pooled `Pipeline`, reset between cells;
-//! the reset must carry no configuration or state from one cell into the
-//! next.  The golden fixture covers only paper-configuration cells, so
-//! these tests are the check for the ablation configurations.
+//! replays every cell through pooled `Pipeline`s, reset between cells,
+//! and times each trace on up to three of them at once; neither the reset
+//! nor the shared trace may carry configuration or state from one cell
+//! into another.  The golden fixture covers only paper-configuration
+//! cells, so these tests are the check for the ablation configurations.
 
 use simdsim_isa::Ext;
 use simdsim_pipe::{CpiStack, PipeConfig, PipeStats, Pipeline};
-use simdsim_sweep::{catalog, Cell, Scenario};
+use simdsim_sweep::{catalog, run, Cell, CellStats, EngineOptions, Scenario};
 
 /// Runs `cell` on `pipe` (already reset to the cell's configuration) with
 /// cycle accounting on.
@@ -27,32 +28,34 @@ fn fresh(cell: &Cell) -> (PipeStats, CpiStack) {
 
 /// The fig4 kernels on the paper machines, the fig4 kernels under every
 /// ablation's override set (on that ablation's extension and width), and
-/// one application cell long enough to cross several 64K-instruction
-/// store-line cleanups.
-fn cells() -> Vec<Cell> {
+/// one application cell per width in `ways`, long enough to cross several
+/// 64K-instruction store-line cleanups.
+fn scenarios(ways: &[usize]) -> Vec<Scenario> {
     let fig4 = catalog::fig4();
-    let mut cells = fig4.expand();
+    let mut scenarios = vec![fig4.clone()];
     for ablation in [
         catalog::ablate_lanes(),
         catalog::ablate_l2_port(),
         catalog::ablate_matrix_regs(),
         catalog::ablate_redirect(),
     ] {
-        let all_kernels = Scenario {
+        scenarios.push(Scenario {
             workloads: fig4.workloads.clone(),
             ..ablation
-        };
-        cells.extend(all_kernels.expand());
+        });
     }
     // About 259K instructions: four cleanups.
-    cells.extend(
+    scenarios.push(
         Scenario::new("pooled", "a long app cell")
             .apps(["gsmenc"])
             .exts([Ext::Vmmx64])
-            .ways([2])
-            .expand(),
+            .ways(ways.iter().copied()),
     );
-    cells
+    scenarios
+}
+
+fn cells() -> Vec<Cell> {
+    scenarios(&[2]).iter().flat_map(Scenario::expand).collect()
 }
 
 /// Fisher–Yates with a fixed splitmix64 stream, so the order is shuffled
@@ -108,4 +111,55 @@ fn pooled_pipeline_survives_a_store_epoch_wrap() {
     }
     pooled.reset(cfg);
     assert_eq!(run_cell(&mut pooled, &cell), expected);
+}
+
+/// The engine's statistics for a fresh pipeline's run.
+fn fresh_cell_stats(cell: &Cell) -> CellStats {
+    let (t, stack) = fresh(cell);
+    CellStats {
+        cycles: t.cycles,
+        instrs: t.instrs,
+        ipc: t.ipc(),
+        vector_cycles: t.vector_region_cycles,
+        scalar_cycles: t.scalar_region_cycles,
+        branches: t.branches,
+        mispredicts: t.mispredicts,
+        counts: t.counts,
+        l1: t.l1,
+        l2: t.l2,
+        memsys: t.memsys,
+        profile: Some(stack),
+    }
+}
+
+#[test]
+fn grouped_sweep_cells_equal_fresh_pipelines() {
+    let scenarios = scenarios(&catalog::PAPER_WAYS);
+    // The executor times one trace on at most three pipelines; the lanes
+    // ablation's five cells per kernel make it split a group.
+    let widest = scenarios
+        .iter()
+        .map(|s| s.expand().len() / (s.workloads.len() * s.exts.len()))
+        .max();
+    assert!(widest > Some(3), "no group wider than a run");
+
+    let expected: Vec<Vec<CellStats>> = scenarios
+        .iter()
+        .map(|s| s.expand().iter().map(fresh_cell_stats).collect())
+        .collect();
+    for jobs in [1, 2] {
+        for (scenario, expected) in scenarios.iter().zip(&expected) {
+            let report = run(scenario, &EngineOptions::default().jobs(jobs));
+            assert_eq!(report.outcomes.len(), expected.len());
+            for (o, want) in report.outcomes.iter().zip(expected) {
+                let got = o.stats.as_ref().unwrap_or_else(|e| panic!("{e}"));
+                assert_eq!(
+                    got,
+                    want,
+                    "{} at {jobs} jobs: grouped run differs from a fresh pipeline",
+                    o.cell.label()
+                );
+            }
+        }
+    }
 }

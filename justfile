@@ -37,6 +37,11 @@ sweep-smoke:
     cargo run --release -p simdsim-bench --bin sweep -- --filter fig4 --jobs 2 > /tmp/simdsim-sweep-second.txt
     grep -q 'cached$' /tmp/simdsim-sweep-second.txt
     ! grep -q 'ran$' /tmp/simdsim-sweep-second.txt
+    # Grouped ablation runs must write every cell back: warm rows all cached.
+    cargo run --release -p simdsim-bench --bin sweep -- --filter ablate --jobs 2
+    cargo run --release -p simdsim-bench --bin sweep -- --filter ablate --jobs 2 > /tmp/simdsim-sweep-ablate.txt
+    grep -q 'cached$' /tmp/simdsim-sweep-ablate.txt
+    ! grep -v -e '^==' -e '^$' /tmp/simdsim-sweep-ablate.txt | grep -qv 'cached$'
 
 # Run the declared benchmark (the BENCHMARK.json command) on one workload:
 # `just simbench kernel_cells`, or `just simbench fig5_apps 1 25 1` for a

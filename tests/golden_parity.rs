@@ -1,7 +1,8 @@
 //! Golden parity fixtures for the timing model.
 //!
-//! Every fig4 + fig5 catalog cell is simulated end-to-end and its full
-//! [`PipeStats`] (cycles, per-class counts, branch counters, L1/L2 cache
+//! Every fig4 + fig5 catalog cell is simulated end-to-end (each fig5
+//! `(app, ext)`'s three widths timed on one emulation, as the sweep engine
+//! runs them) and its full [`PipeStats`] (cycles, per-class counts, branch counters, L1/L2 cache
 //! counters, memory-system counters) is compared bit-for-bit against the
 //! committed fixture `tests/golden/pipestats.json`.  The fixture was
 //! generated from the model *before* the predecoded-hot-path rework, so
@@ -18,42 +19,80 @@
 
 use simdsim::conform::{diff_effects, ArchState, EffectsRecorder, RefMachine};
 use simdsim::emu::NullSink;
-use simdsim::pipe::simulate;
+use simdsim::pipe::{simulate_in, PipeConfig};
 use simdsim::sweep::{catalog, scheduler, Cell};
 
 fn fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/pipestats.json")
 }
 
-/// Simulates one cell and renders its `PipeStats` as canonical JSON.
-fn cell_stats_json(cell: &Cell) -> (String, String) {
-    let cfg = cell
-        .config()
-        .unwrap_or_else(|e| panic!("{}: {e}", cell.label()));
-    let built = cell
+/// Simulates a group of cells sharing one workload, extension and budget
+/// with one `simulate_in` call — one emulation timed on every cell's
+/// configuration, as the sweep engine runs them — and renders each
+/// cell's `PipeStats` as canonical JSON.
+fn group_stats_json(group: &[Cell]) -> Vec<(String, String)> {
+    let first = &group[0];
+    let cfgs: Vec<PipeConfig> = group
+        .iter()
+        .map(|c| c.config().unwrap_or_else(|e| panic!("{}: {e}", c.label())))
+        .collect();
+    let mut built = first
         .workload
-        .build(cell.ext)
-        .unwrap_or_else(|e| panic!("{}: {e}", cell.label()));
-    let (_, stats) = simulate(&built.program, &built.machine, &cfg, cell.instr_limit)
-        .unwrap_or_else(|e| panic!("{}: {e}", cell.label()));
-    let json = serde_json::to_string(&stats).expect("PipeStats serializes");
-    (cell.label(), json)
+        .build(first.ext)
+        .unwrap_or_else(|e| panic!("{}: {e}", first.label()));
+    let dec = built.program.decode();
+    let (_, runs) = simulate_in(&mut built.machine, &dec, &cfgs, first.instr_limit, false)
+        .unwrap_or_else(|e| panic!("{}: {e}", first.label()));
+    group
+        .iter()
+        .zip(runs)
+        .map(|(cell, run)| {
+            let json = serde_json::to_string(&run.stats).expect("PipeStats serializes");
+            (cell.label(), json)
+        })
+        .collect()
 }
 
-fn all_cells() -> Vec<Cell> {
-    let mut cells = catalog::fig4().expand();
-    cells.extend(catalog::fig5().expand());
-    cells
+/// Every fig4 cell alone, then each fig5 `(app, ext)`'s three widths as
+/// one group, in catalog order within each scenario.
+fn all_groups() -> Vec<Vec<Cell>> {
+    let mut groups: Vec<Vec<Cell>> = catalog::fig4()
+        .expand()
+        .into_iter()
+        .map(|c| vec![c])
+        .collect();
+    let fig5 = catalog::fig5().expand();
+    let mut fig5_groups: Vec<Vec<Cell>> = Vec::new();
+    for cell in fig5 {
+        match fig5_groups
+            .iter_mut()
+            .find(|g| g[0].workload == cell.workload && g[0].ext == cell.ext)
+        {
+            Some(group) => group.push(cell),
+            None => fig5_groups.push(vec![cell]),
+        }
+    }
+    assert!(fig5_groups
+        .iter()
+        .all(|g| g.len() == catalog::PAPER_WAYS.len()));
+    groups.extend(fig5_groups);
+    groups
 }
 
 #[test]
 fn fig4_fig5_pipestats_match_golden_fixture() {
-    let cells = all_cells();
-    let results = scheduler::run_jobs(&cells, scheduler::default_workers(), cell_stats_json);
-    let rows: Vec<(String, String)> = results
+    let groups = all_groups();
+    let results = scheduler::run_jobs(&groups, scheduler::default_workers(), |g| {
+        group_stats_json(g)
+    });
+    let mut rows: Vec<(String, String)> = results
         .into_iter()
-        .map(|r| r.expect("cell simulation must not panic"))
+        .flat_map(|r| r.expect("cell simulation must not panic"))
         .collect();
+    // Back to catalog order, the fixture's layout.
+    let mut order = catalog::fig4().expand();
+    order.extend(catalog::fig5().expand());
+    rows.sort_by_key(|(label, _)| order.iter().position(|c| c.label() == *label));
 
     let path = fixture_path();
     if std::env::var_os("GOLDEN_REGEN").is_some() {
