@@ -6,8 +6,10 @@
 //! * `push` — one paper configuration replays the whole trace.
 //! * `fan-out` — the paper's three widths replay the one trace in chunks,
 //!   the way `simulate_in` times a group of configurations: each chunk
-//!   goes through every pipeline in turn.  `whole` replays the trace into
-//!   each pipeline one after the other (three separate runs).
+//!   goes through every pipeline in turn.  `1` pushes each instruction
+//!   straight into every pipeline (a broadcast, no buffer); `whole`
+//!   replays the trace into each pipeline one after the other (three
+//!   separate runs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use simdsim::emu::{DynInstr, TraceSink, VecSink};
@@ -88,6 +90,7 @@ fn bench_fan_out(c: &mut Criterion) {
         // Three pipelines each time the whole trace.
         g.throughput(Throughput::Elements(3 * trace.instrs.len() as u64));
         for (label, chunk) in [
+            ("1", 1),
             ("1K", 1 << 10),
             ("2K", 2 << 10),
             ("4K", 4 << 10),

@@ -37,7 +37,6 @@ pub use bpred::Gshare;
 pub use config::PipeConfig;
 pub use model::{
     simulate, simulate_decoded, simulate_decoded_profiled, simulate_in, PipeStats, Pipeline,
-    TimedRun,
 };
 pub use profile::{CpiStack, StallCause, NUM_REGIONS, NUM_STALL_CAUSES, REGION_LABELS};
 

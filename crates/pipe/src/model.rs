@@ -12,7 +12,6 @@ use simdsim_mem::{CacheStats, MemSystem, MemTimingStats};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::time::{Duration, Instant};
 
 const RING: usize = 1 << 14;
 
@@ -793,40 +792,35 @@ thread_local! {
 /// into each pipeline.  Each buffered [`DynInstr`] is 56 bytes, so a chunk
 /// is 112 KB: small enough to stay cache-resident while every pipeline
 /// replays it, large enough that switching pipelines is rare.
+///
+/// Buffering beats pushing each instruction straight into every pipeline
+/// (a broadcast).  On a 2-vCPU Xeon, timing three apps and four kernels
+/// at the paper's three widths, emulation included, took a median 1.48 s
+/// buffered against 1.60 s broadcast (10 alternated runs, 8 won by
+/// buffering).  Without emulation (`pipe_replay`, mpeg2dec, 5 runs) the
+/// broadcast took a median 101 ms and 1K, 2K and 4K chunks 69–83 ms.
 const CHUNK: usize = 2048;
 
-/// One configuration's result from [`simulate_in`].
-#[derive(Debug, Clone)]
-pub struct TimedRun {
-    /// The run's timing statistics under this configuration.
-    pub stats: PipeStats,
-    /// The run's CPI stack, when profiling was on.
-    pub cpi: Option<CpiStack>,
-    /// Wall time spent replaying the buffered trace into this
-    /// configuration's pipeline.  Zero for a lone configuration, whose
-    /// timing is interleaved with emulation and not separable from it.
-    pub replay: Duration,
-}
+/// One configuration's result from [`simulate_in`]: its timing statistics
+/// and, when profiling, its CPI stack.
+type Timed = (PipeStats, Option<CpiStack>);
 
 /// The [`TraceSink`] that times one trace on several pipelines: it
 /// buffers [`CHUNK`] instructions, then replays the chunk into every
-/// pipeline in turn, timing each replay.  The predecoded entry of a
-/// buffered instruction is looked up again by its `pc`.
+/// pipeline in turn.  The predecoded entry of a buffered instruction is
+/// looked up again by its `pc`.
 struct FanOut<'a> {
     table: &'a [DecodedInstr],
     pipes: &'a mut [Pipeline],
-    replay: Vec<Duration>,
     buf: Vec<DynInstr>,
 }
 
 impl FanOut<'_> {
     fn flush(&mut self) {
-        for (pipe, spent) in self.pipes.iter_mut().zip(&mut self.replay) {
-            let start = Instant::now();
+        for pipe in self.pipes.iter_mut() {
             for di in &self.buf {
                 pipe.push(di, &self.table[di.pc as usize]);
             }
-            *spent += start.elapsed();
         }
         self.buf.clear();
     }
@@ -844,8 +838,8 @@ impl TraceSink for FanOut<'_> {
 /// Runs the decoded program on `machine` **in place** (its registers and
 /// memory are consumed as the run's working state) and times the one
 /// dynamic trace on every configuration of `cfgs`, each on a per-thread
-/// pooled [`Pipeline`] reset to it.  Returns one [`TimedRun`] per
-/// configuration, in order; with `profile` each carries its [`CpiStack`].
+/// pooled [`Pipeline`] reset to it.  Returns each configuration's
+/// statistics, in order, with its [`CpiStack`] when `profile` is set.
 ///
 /// The functional run does not depend on the configuration, so a group of
 /// configurations shares one build, decode and emulation.  A lone
@@ -868,7 +862,7 @@ pub fn simulate_in(
     cfgs: &[PipeConfig],
     max_instrs: u64,
     profile: bool,
-) -> Result<(RunStats, Vec<TimedRun>), EmuError> {
+) -> Result<(RunStats, Vec<Timed>), EmuError> {
     PIPE_POOL.with(|p| {
         let mut pool = p.borrow_mut();
         for (i, cfg) in cfgs.iter().enumerate() {
@@ -879,30 +873,21 @@ pub fn simulate_in(
             pool[i].set_profiling(profile);
         }
         let pipes = &mut pool[..cfgs.len()];
-        let (rs, replay) = if let [pipe] = pipes {
-            (
-                machine.run_decoded(dec, pipe, max_instrs)?,
-                vec![Duration::ZERO],
-            )
+        let rs = if let [pipe] = pipes {
+            machine.run_decoded(dec, pipe, max_instrs)?
         } else {
             let mut fan = FanOut {
                 table: dec.instrs(),
                 pipes,
-                replay: vec![Duration::ZERO; cfgs.len()],
                 buf: Vec::with_capacity(CHUNK),
             };
             let rs = machine.run_decoded(dec, &mut fan, max_instrs)?;
             fan.flush();
-            (rs, fan.replay)
+            rs
         };
         let runs = pool[..cfgs.len()]
             .iter()
-            .zip(replay)
-            .map(|(pipe, replay)| TimedRun {
-                stats: pipe.stats(),
-                cpi: pipe.cpi_stack(),
-                replay,
-            })
+            .map(|pipe| (pipe.stats(), pipe.cpi_stack()))
             .collect();
         Ok((rs, runs))
     })
@@ -939,8 +924,8 @@ pub fn simulate_decoded(
     cfg: &PipeConfig,
     max_instrs: u64,
 ) -> Result<(RunStats, PipeStats), EmuError> {
-    let (rs, run) = scratch_run(dec, machine, cfg, max_instrs, false)?;
-    Ok((rs, run.stats))
+    let (rs, (stats, _)) = scratch_run(dec, machine, cfg, max_instrs, false)?;
+    Ok((rs, stats))
 }
 
 /// [`simulate_decoded`] with cycle accounting enabled: additionally
@@ -958,8 +943,8 @@ pub fn simulate_decoded_profiled(
     cfg: &PipeConfig,
     max_instrs: u64,
 ) -> Result<(RunStats, PipeStats, CpiStack), EmuError> {
-    let (rs, run) = scratch_run(dec, machine, cfg, max_instrs, true)?;
-    Ok((rs, run.stats, run.cpi.expect("profiling was enabled")))
+    let (rs, (stats, cpi)) = scratch_run(dec, machine, cfg, max_instrs, true)?;
+    Ok((rs, stats, cpi.expect("profiling was enabled")))
 }
 
 /// [`simulate_in`] of one configuration on the per-thread scratch copy of
@@ -970,7 +955,7 @@ fn scratch_run(
     cfg: &PipeConfig,
     max_instrs: u64,
     profile: bool,
-) -> Result<(RunStats, TimedRun), EmuError> {
+) -> Result<(RunStats, Timed), EmuError> {
     SCRATCH.with(|s| {
         let mut slot = s.borrow_mut();
         let m = match slot.as_mut() {

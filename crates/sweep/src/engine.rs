@@ -198,9 +198,8 @@ pub struct CellOutcome {
     /// The statistics, or the per-cell failure.
     pub stats: Result<CellStats, SweepError>,
     /// Wall-clock time spent simulating this cell in this run (zero for
-    /// cached cells and for cells whose job panicked).  A cell timed on a
-    /// shared trace gets its own replay plus an equal share of the shared
-    /// build, decode and emulation.
+    /// cached cells and for cells whose job panicked).  Cells timed on one
+    /// shared trace split that run's wall time equally.
     pub wall: Duration,
     /// Where this cell's wall time went (probe/decode/simulate/store).
     pub phases: CellPhases,
@@ -621,11 +620,10 @@ fn memo_decode(cell: &Cell, program: &simdsim_isa::Program) -> Rc<Decoded> {
 /// built for it ([`simulate_in`], through the per-thread pooled
 /// pipelines, with no copy of the memory image), and the trace is timed
 /// on every task's configuration.  Each cell's wall time (workload build
-/// included — it is part of the cost a cache hit saves) is its own replay
-/// plus an equal share of the shared build, decode and emulation, so the
-/// run's cell walls sum to the run's wall.  A build or emulation error
-/// fails every cell with the same message, as running them one by one
-/// would.
+/// included — it is part of the cost a cache hit saves) and phases are an
+/// equal share of the run's, so the run's cell walls sum to its wall.  A
+/// build or emulation error fails every cell with the same message, as
+/// running them one by one would.
 pub(crate) fn exec_run(tasks: &[CellTask]) -> Vec<CellExecution> {
     let first = &tasks[0].cell;
     let cfgs: Vec<PipeConfig> = tasks.iter().map(|t| t.cfg).collect();
@@ -651,31 +649,28 @@ pub(crate) fn exec_run(tasks: &[CellTask]) -> Vec<CellExecution> {
     })();
     let wall = start.elapsed();
 
-    let cells: Vec<(Result<CellStats, SweepError>, Duration)> = match result {
+    let n = tasks.len() as u32;
+    // The first cell takes the nanoseconds an even split leaves over.
+    let rest = wall - wall / n * n;
+    let stats: Vec<Result<CellStats, SweepError>> = match result {
         Ok(runs) => runs
             .into_iter()
-            .map(|r| (Ok(cell_stats(&r.stats, r.cpi)), r.replay))
+            .map(|(stats, cpi)| Ok(cell_stats(&stats, cpi)))
             .collect(),
         Err(msg) => tasks
             .iter()
-            .map(|t| (Err(SweepError::new(&t.cell, msg.clone())), Duration::ZERO))
+            .map(|t| Err(SweepError::new(&t.cell, msg.clone())))
             .collect(),
     };
-    let n = tasks.len() as u32;
-    let replayed: Duration = cells.iter().map(|c| c.1).sum();
-    let shared = wall.saturating_sub(replayed);
-    let shared_simulate_ms = (simulate_ms - replayed.as_secs_f64() * 1.0e3).max(0.0);
-    // The first cell takes the nanoseconds an even split leaves over.
-    let rest = shared - shared / n * n;
-    cells
+    stats
         .into_iter()
         .enumerate()
-        .map(|(i, (stats, replay))| CellExecution {
+        .map(|(i, stats)| CellExecution {
             stats,
-            wall: replay + shared / n + if i == 0 { rest } else { Duration::ZERO },
+            wall: wall / n + if i == 0 { rest } else { Duration::ZERO },
             phases: CellPhases {
                 decode_ms: decode_ms / f64::from(n),
-                simulate_ms: replay.as_secs_f64() * 1.0e3 + shared_simulate_ms / f64::from(n),
+                simulate_ms: simulate_ms / f64::from(n),
                 ..CellPhases::default()
             },
         })

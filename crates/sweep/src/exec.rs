@@ -72,7 +72,8 @@ pub trait CellExecutor: Sync {
 /// workload, extension, instruction budget and profiling flag) are
 /// grouped in expansion order and each run of at most [`FAN_WIDTH`] of
 /// them is one job: the workload is built, decoded and emulated once and
-/// timed on every cell's configuration.
+/// timed on every cell's configuration.  Runs are narrowed when there
+/// would be fewer of them than pool workers.
 #[derive(Debug, Clone, Default)]
 pub struct LocalExecutor {
     /// Worker-pool size; `None` uses the available parallelism.
@@ -103,8 +104,12 @@ fn shares_trace(a: &CellTask, b: &CellTask) -> bool {
 
 /// Groups `tasks` by trace in order of first appearance, keeping
 /// expansion order within a group, and splits each group into runs of at
-/// most [`FAN_WIDTH`].
-fn runs(tasks: Vec<CellTask>) -> Vec<Vec<CellTask>> {
+/// most [`FAN_WIDTH`] cells.  Runs are narrowed (down to one cell) while
+/// they would number fewer than the `workers` that could take them, so
+/// grouping never leaves a worker idle that running each cell alone
+/// would have kept busy.
+fn runs(tasks: Vec<CellTask>, workers: usize) -> Vec<Vec<CellTask>> {
+    let busy = workers.min(tasks.len());
     let mut groups: Vec<Vec<CellTask>> = Vec::new();
     for task in tasks {
         match groups.iter_mut().find(|g| shares_trace(&g[0], &task)) {
@@ -112,9 +117,19 @@ fn runs(tasks: Vec<CellTask>) -> Vec<Vec<CellTask>> {
             None => groups.push(vec![task]),
         }
     }
+    let count = |width: usize| {
+        groups
+            .iter()
+            .map(|g| g.len().div_ceil(width))
+            .sum::<usize>()
+    };
+    let width = (1..=FAN_WIDTH)
+        .rev()
+        .find(|&width| count(width) >= busy)
+        .unwrap_or(1);
     groups
         .iter()
-        .flat_map(|group| group.chunks(FAN_WIDTH).map(<[CellTask]>::to_vec))
+        .flat_map(|group| group.chunks(width).map(<[CellTask]>::to_vec))
         .collect()
 }
 
@@ -126,7 +141,7 @@ impl CellExecutor for LocalExecutor {
         done: &(dyn Fn(TaskOutcome) + Sync),
     ) {
         let workers = self.jobs.unwrap_or_else(scheduler::default_workers);
-        let runs = runs(tasks);
+        let runs = runs(tasks, workers);
         let failed = |task: &CellTask, message: &str| TaskOutcome {
             index: task.index,
             cached: false,
@@ -239,16 +254,34 @@ mod tests {
         assert_eq!(seen, vec![0, 3, 5]);
     }
 
+    /// The task indices of each run `tasks` splits into on `workers`.
+    fn shape(tasks: Vec<CellTask>, workers: usize) -> Vec<Vec<usize>> {
+        runs(tasks, workers)
+            .iter()
+            .map(|r| r.iter().map(|t| t.index).collect())
+            .collect()
+    }
+
     #[test]
     fn cells_sharing_a_trace_split_into_runs_of_fan_width() {
         let mut tasks = one_trace("idct", 200_000);
         tasks.push(task_of(4, cell("rgb", 2, 200_000)));
-        let runs = runs(tasks);
-        let shape: Vec<Vec<usize>> = runs
-            .iter()
-            .map(|r| r.iter().map(|t| t.index).collect())
-            .collect();
-        assert_eq!(shape, vec![vec![0, 1, 2], vec![3], vec![4]]);
+        for workers in 1..=3 {
+            assert_eq!(
+                shape(tasks.clone(), workers),
+                vec![vec![0, 1, 2], vec![3], vec![4]]
+            );
+        }
+    }
+
+    #[test]
+    fn runs_narrow_rather_than_leave_workers_idle() {
+        let tasks = one_trace("idct", 200_000);
+        assert_eq!(shape(tasks.clone(), 2), vec![vec![0, 1, 2], vec![3]]);
+        assert_eq!(shape(tasks[..3].to_vec(), 2), vec![vec![0, 1], vec![2]]);
+        let alone = vec![vec![0], vec![1], vec![2], vec![3]];
+        assert_eq!(shape(tasks.clone(), 3), alone);
+        assert_eq!(shape(tasks, 8), alone);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Every fig4 + fig5 catalog cell is simulated end-to-end (each fig5
 //! `(app, ext)`'s three widths timed on one emulation, as the sweep engine
-//! runs them) and its full [`PipeStats`] (cycles, per-class counts, branch counters, L1/L2 cache
-//! counters, memory-system counters) is compared bit-for-bit against the
-//! committed fixture `tests/golden/pipestats.json`.  The fixture was
+//! runs them) and its full [`PipeStats`] (cycles, per-class counts,
+//! branch counters, L1/L2 cache counters, memory-system counters) is
+//! compared bit-for-bit against the committed fixture `tests/golden/pipestats.json`.  The fixture was
 //! generated from the model *before* the predecoded-hot-path rework, so
 //! this suite proves that a pure performance refactor moved no paper
 //! number.
@@ -46,8 +46,8 @@ fn group_stats_json(group: &[Cell]) -> Vec<(String, String)> {
     group
         .iter()
         .zip(runs)
-        .map(|(cell, run)| {
-            let json = serde_json::to_string(&run.stats).expect("PipeStats serializes");
+        .map(|(cell, (stats, _))| {
+            let json = serde_json::to_string(&stats).expect("PipeStats serializes");
             (cell.label(), json)
         })
         .collect()
