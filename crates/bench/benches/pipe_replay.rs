@@ -3,7 +3,9 @@
 //! (`VecSink`) and replayed through `Pipeline::push`, so no emulation or
 //! workload build is timed.
 //!
-//! * `push` — one paper configuration replays the whole trace.
+//! * `push` — one paper configuration replays the whole trace, at each of
+//!   the paper's three widths (2-, 4- and 8-way: 16-, 24- and 36-entry
+//!   issue queues).
 //! * `fan-out` — the paper's three widths replay the one trace in chunks,
 //!   the way `simulate_in` times a group of configurations: each chunk
 //!   goes through every pipeline in turn.  `1` pushes each instruction
@@ -67,16 +69,19 @@ fn bench_push(c: &mut Criterion) {
     let mut g = c.benchmark_group("push");
     g.sample_size(10);
     for trace in &traces() {
-        let cfg = PipeConfig::paper(2, trace.ext);
-        let mut pipe = [Pipeline::new(cfg)];
         g.throughput(Throughput::Elements(trace.instrs.len() as u64));
-        g.bench_with_input(BenchmarkId::new(trace.name, "2way"), trace, |b, trace| {
-            b.iter(|| {
-                pipe[0].reset(cfg);
-                replay(&mut pipe, trace, trace.instrs.len());
-                pipe[0].stats()
+        for way in [2, 4, 8] {
+            let cfg = PipeConfig::paper(way, trace.ext);
+            let mut pipe = [Pipeline::new(cfg)];
+            let id = BenchmarkId::new(trace.name, format!("{way}way"));
+            g.bench_with_input(id, trace, |b, trace| {
+                b.iter(|| {
+                    pipe[0].reset(cfg);
+                    replay(&mut pipe, trace, trace.instrs.len());
+                    pipe[0].stats()
+                });
             });
-        });
+        }
     }
     g.finish();
 }

@@ -10,8 +10,7 @@ use simdsim_isa::{
 };
 use simdsim_mem::{CacheStats, MemSystem, MemTimingStats};
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 const RING: usize = 1 << 14;
 
@@ -102,6 +101,72 @@ impl Scoreboard {
     }
 }
 
+/// Popped entries [`IssueQueue`] keeps before it moves its live run down.
+const IQ_COMPACT: usize = 64;
+
+/// The issue queue's leave times as one ascending run, `buf[head..]`.
+///
+/// The earliest entry is `buf[head]` and a pop is `head += 1`.  An insert
+/// walks back from the tail, which is where new leave times land: each is
+/// at most 64 cycles past its own dispatch, and dispatch mostly grows.
+/// The run always holds the same multiset as a binary heap fed the same
+/// operations, so it is exact by construction: every minimum, length and
+/// pop agrees (the tests drive both side by side).  The popped prefix is
+/// moved out once it outgrows the live run, so a pop costs O(1)
+/// amortised; the live run never exceeds `PipeConfig::iq` entries.
+#[derive(Debug, Default)]
+struct IssueQueue {
+    buf: Vec<u64>,
+    head: usize,
+}
+
+impl IssueQueue {
+    fn len(&self) -> usize {
+        self.buf.len() - self.head
+    }
+
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.head = 0;
+    }
+
+    /// Inserts a leave time, keeping the run ascending.
+    #[inline]
+    fn push(&mut self, t: u64) {
+        if self.head >= self.len().max(IQ_COMPACT) {
+            self.buf.copy_within(self.head.., 0);
+            self.buf.truncate(self.buf.len() - self.head);
+            self.head = 0;
+        }
+        let mut i = self.buf.len();
+        self.buf.push(t);
+        while i > self.head && self.buf[i - 1] > t {
+            self.buf[i] = self.buf[i - 1];
+            i -= 1;
+        }
+        self.buf[i] = t;
+    }
+
+    /// Admits an instruction that would dispatch at `dispatch` into a
+    /// queue of `cap` entries: every entry that has left by `dispatch`
+    /// is dropped, and while the queue is full dispatch waits for the
+    /// earliest leave (one cycle after it).  Returns the dispatch cycle.
+    #[inline]
+    fn admit(&mut self, mut dispatch: u64, cap: usize) -> u64 {
+        while let Some(&t) = self.buf.get(self.head) {
+            if t <= dispatch {
+                self.head += 1;
+            } else if self.len() >= cap {
+                self.head += 1;
+                dispatch = dispatch.max(t + 1);
+            } else {
+                break;
+            }
+        }
+        dispatch
+    }
+}
+
 /// The pipeline model; implements [`TraceSink`] so the emulator can
 /// stream instructions straight into it.
 #[derive(Debug)]
@@ -124,7 +189,7 @@ pub struct Pipeline {
     next_fetch: u64,
     fetch_used: usize,
     rob: VecDeque<u64>,
-    iq: BinaryHeap<Reverse<u64>>,
+    iq: IssueQueue,
     commit_cursor: u64,
     commit_used: usize,
     rename: [VecDeque<u64>; 3],
@@ -233,7 +298,7 @@ impl Pipeline {
             next_fetch: 0,
             fetch_used: 0,
             rob: VecDeque::with_capacity(cfg.rob + 1),
-            iq: BinaryHeap::new(),
+            iq: IssueQueue::default(),
             commit_cursor: 0,
             commit_used: 0,
             rename: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
@@ -417,19 +482,9 @@ impl Pipeline {
         // ------------------------------------------------------------
         // Rename (physical register budgets) and issue-queue occupancy
         // ------------------------------------------------------------
-        let mut dispatch = fetch + self.cfg.frontend_depth;
         // Entries leave the scheduler when they issue; dispatch stalls
         // while the queue is full.
-        while let Some(Reverse(t)) = self.iq.peek().copied() {
-            if t <= dispatch {
-                self.iq.pop();
-            } else if self.iq.len() >= self.cfg.iq {
-                self.iq.pop();
-                dispatch = dispatch.max(t + 1);
-            } else {
-                break;
-            }
-        }
+        let mut dispatch = self.iq.admit(fetch + self.cfg.frontend_depth, self.cfg.iq);
         if dec.def_rename != RENAME_NONE {
             let c = dec.def_rename as usize;
             while self.rename[c].len() >= self.rename_caps[c] {
@@ -550,7 +605,7 @@ impl Pipeline {
             FuKind::Mem | FuKind::VecMem => ready.max(dispatch),
             _ => complete.saturating_sub(1).max(dispatch),
         };
-        self.iq.push(Reverse(iq_leave.min(dispatch + 64)));
+        self.iq.push(iq_leave.min(dispatch + 64));
 
         // ------------------------------------------------------------
         // Control flow
@@ -975,6 +1030,8 @@ mod tests {
     use super::*;
     use simdsim_asm::Asm;
     use simdsim_isa::{Cond, Esz, Ext, VOp};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn run(cfg: &PipeConfig, build: impl FnOnce(&mut Asm)) -> PipeStats {
         let mut a = Asm::new();
@@ -1274,6 +1331,86 @@ mod tests {
         pipe.cell_epoch = pipe.epoch;
         assert_eq!(run_with(&mut pipe, &prog), fresh);
         assert_eq!(pipe.epoch, 1, "the run wrapped the epoch space");
+    }
+
+    /// One splitmix64 step: the stream the issue-queue test draws from.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// [`IssueQueue::admit`] on the binary heap the issue queue replaced.
+    fn heap_admit(heap: &mut BinaryHeap<Reverse<u64>>, mut dispatch: u64, cap: usize) -> u64 {
+        while let Some(&Reverse(t)) = heap.peek() {
+            if t <= dispatch {
+                heap.pop();
+            } else if heap.len() >= cap {
+                heap.pop();
+                dispatch = dispatch.max(t + 1);
+            } else {
+                break;
+            }
+        }
+        dispatch
+    }
+
+    /// The issue queue against a binary heap, on seeded operation
+    /// sequences shaped like `stage_front`/`stage_retire`: a
+    /// non-decreasing base dispatch, raises of up to several hundred
+    /// cycles, full-queue pops, leave times capped 64 cycles past
+    /// dispatch, and a `clear` now and then.  Every step must agree on
+    /// the dispatch cycle, the drained count, the length and the minimum.
+    #[test]
+    fn issue_queue_matches_a_binary_heap() {
+        for cap in [1, 16, 24, 36, 255] {
+            for case in 0..40 {
+                let seed = (cap as u64) << 32 | case;
+                let mut rng = seed;
+                let mut iq = IssueQueue::default();
+                let mut heap = BinaryHeap::new();
+                let mut base = 0;
+                for step in 0..3000 {
+                    let at = format!("seed {seed:#x} (iq {cap}), step {step}");
+                    base += mix(&mut rng) % 3;
+                    let raise = match mix(&mut rng) % 16 {
+                        0 => mix(&mut rng) % 500,
+                        1..=3 => mix(&mut rng) % 20,
+                        _ => 0,
+                    };
+                    if mix(&mut rng).is_multiple_of(700) {
+                        iq.clear();
+                        heap.clear();
+                    }
+                    let (iq_len, heap_len) = (iq.len(), heap.len());
+                    let dispatch = iq.admit(base + raise, cap);
+                    assert_eq!(dispatch, heap_admit(&mut heap, base + raise, cap), "{at}");
+                    assert_eq!(iq_len - iq.len(), heap_len - heap.len(), "{at}: drained");
+                    let leave = match mix(&mut rng) % 4 {
+                        0 => dispatch,
+                        1 => dispatch + mix(&mut rng) % 4,
+                        2 => dispatch + mix(&mut rng) % 40,
+                        _ => dispatch + mix(&mut rng) % 600,
+                    };
+                    iq.push(leave.min(dispatch + 64));
+                    heap.push(Reverse(leave.min(dispatch + 64)));
+                    assert_eq!(iq.len(), heap.len(), "{at}: length");
+                    assert!(iq.len() <= cap, "{at}: {} entries", iq.len());
+                    let min = heap.peek().map(|r| r.0);
+                    assert_eq!(iq.buf.get(iq.head).copied(), min, "{at}: minimum");
+                }
+                let mut rest = heap.into_sorted_vec();
+                rest.reverse();
+                let rest: Vec<u64> = rest.into_iter().map(|r| r.0).collect();
+                assert_eq!(
+                    iq.buf[iq.head..],
+                    rest,
+                    "seed {seed:#x} (iq {cap}): contents"
+                );
+            }
+        }
     }
 
     #[test]

@@ -202,7 +202,8 @@ fn worker_death_mid_lease_requeues_cells_and_stays_golden() {
 #[test]
 fn long_lease_heartbeats_keep_the_worker_alive() {
     // Over three intervals of silence evict a worker.  In a debug build
-    // the leased cell simulates for about six.
+    // the leased fig5 cell simulates for about ten; the longest fig4
+    // cell now takes under three.
     const HEARTBEAT_MS: u64 = 30;
     let server = start_server(fast_fleet(HEARTBEAT_MS, 60_000));
     let mut c = connect(&server);
@@ -213,12 +214,12 @@ fn long_lease_heartbeats_keep_the_worker_alive() {
     wait_live_workers(&mut c, 1);
 
     let sub = c
-        .submit(&SweepRequest::by_name("fig4").filter("/idct/mmx64/"))
+        .submit(&SweepRequest::by_name("fig5").filter("/mpeg2dec/mmx128/2way"))
         .expect("submit");
     let status = c.wait_timeout(sub.id, POLL, TIMEOUT).expect("job finishes");
     assert_eq!(status.state, simdsim_api::JobState::Done);
     let result = status.result.expect("result");
-    assert_eq!(result.cells.len(), 1, "fig4 /idct/mmx64/ yields 1 cell");
+    assert_eq!(result.cells.len(), 1, "fig5 /mpeg2dec/mmx128/2way: 1 cell");
     assert_eq!(result.failed, 0);
     assert_golden_identical(&result.cells);
     if cfg!(debug_assertions) {
