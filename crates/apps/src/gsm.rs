@@ -266,12 +266,13 @@ mod slot {
 }
 
 struct Buffers {
+    layout: Layout,
     machine: Machine,
     slots: [u64; slot::COUNT],
 }
 
 fn make_buffers(v: Variant) -> Buffers {
-    let mut layout = Layout::new(1 << 20);
+    let mut layout = Layout::new();
     let mut slots = [0u64; slot::COUNT];
     for (i, bytes) in [
         (slot::SIGNAL, 2 * NFRAMES * FRAME),
@@ -288,14 +289,18 @@ fn make_buffers(v: Variant) -> Buffers {
         slots[i] = layout.alloc_array(bytes as u64, 8);
     }
     let params_addr = layout.alloc_array((slot::COUNT * 8) as u64, 8);
-    let mut machine = Machine::new(v.machine_ext(), 1 << 20);
+    let mut machine = layout.machine(v.machine_ext());
     for (i, addr) in slots.iter().enumerate() {
         machine
             .write_bytes(params_addr + (8 * i) as u64, &(*addr as i64).to_le_bytes())
             .unwrap();
     }
     machine.set_ireg(0, params_addr as i64);
-    Buffers { machine, slots }
+    Buffers {
+        layout,
+        machine,
+        slots,
+    }
 }
 
 // ======================================================================
@@ -605,7 +610,7 @@ impl App for GsmEnc {
         let stream_addr = bufs.slots[slot::STREAM];
         let len_addr = bufs.slots[slot::LEN_CELL];
         let golden_stream = golden.stream;
-        BuiltKernel::new(program, bufs.machine, move |m: &Machine| {
+        BuiltKernel::new(program, &bufs.layout, bufs.machine, move |m: &Machine| {
             let len = u64::from_le_bytes(
                 m.read_bytes(len_addr, 8)
                     .map_err(|e| e.to_string())?
@@ -787,7 +792,7 @@ impl App for GsmDec {
 
         let out_addr = bufs.slots[slot::OUT];
         let expected = golden.decoded;
-        BuiltKernel::new(program, bufs.machine, move |m: &Machine| {
+        BuiltKernel::new(program, &bufs.layout, bufs.machine, move |m: &Machine| {
             let got = m
                 .read_i16s(out_addr, expected.len())
                 .map_err(|e| e.to_string())?;

@@ -151,6 +151,7 @@ mod slot {
 }
 
 struct JpegBuffers {
+    layout: Layout,
     machine: Machine,
     params_addr: u64,
     slots: [u64; slot::COUNT],
@@ -158,7 +159,7 @@ struct JpegBuffers {
 
 /// Allocates and fills the memory image common to encoder and decoder.
 fn make_buffers(v: Variant, forward_dct: bool) -> JpegBuffers {
-    let mut layout = Layout::new(1 << 22);
+    let mut layout = Layout::new();
     let mut slots = [0u64; slot::COUNT];
     for (i, bytes) in [
         (slot::R, W * H),
@@ -188,7 +189,7 @@ fn make_buffers(v: Variant, forward_dct: bool) -> JpegBuffers {
     }
     let params_addr = layout.alloc_array((slot::COUNT * 8) as u64, 8);
 
-    let mut machine = Machine::new(v.machine_ext(), 1 << 22);
+    let mut machine = layout.machine(v.machine_ext());
     for (i, addr) in slots.iter().enumerate() {
         machine
             .write_bytes(params_addr + (8 * i) as u64, &(*addr as i64).to_le_bytes())
@@ -222,6 +223,7 @@ fn make_buffers(v: Variant, forward_dct: bool) -> JpegBuffers {
         .unwrap();
     machine.set_ireg(0, params_addr as i64);
     JpegBuffers {
+        layout,
         machine,
         params_addr,
         slots,
@@ -498,7 +500,7 @@ impl App for JpegEnc {
         let stream_addr = bufs.slots[slot::STREAM];
         let len_addr = bufs.slots[slot::LEN_CELL];
         let _ = bufs.params_addr;
-        BuiltKernel::new(program, bufs.machine, move |m: &Machine| {
+        BuiltKernel::new(program, &bufs.layout, bufs.machine, move |m: &Machine| {
             let len = u64::from_le_bytes(
                 m.read_bytes(len_addr, 8)
                     .map_err(|e| e.to_string())?
@@ -698,7 +700,7 @@ impl App for JpegDec {
             bufs.slots[slot::G],
             bufs.slots[slot::B],
         ];
-        BuiltKernel::new(program, bufs.machine, move |m: &Machine| {
+        BuiltKernel::new(program, &bufs.layout, bufs.machine, move |m: &Machine| {
             for (p, (addr, exp)) in out_slots.iter().zip(expected.iter()).enumerate() {
                 let got = m.read_bytes(*addr, W * H).map_err(|e| e.to_string())?;
                 if let Some(i) = got.iter().zip(exp.iter()).position(|(a, b)| a != b) {

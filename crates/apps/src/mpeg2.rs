@@ -72,12 +72,13 @@ mod slot {
 }
 
 struct Buffers {
+    layout: Layout,
     machine: Machine,
     slots: [u64; slot::COUNT],
 }
 
 fn make_buffers(v: Variant) -> Buffers {
-    let mut layout = Layout::new(1 << 22);
+    let mut layout = Layout::new();
     let mut slots = [0u64; slot::COUNT];
     for (i, bytes) in [
         (slot::CUR0, W * H),
@@ -106,7 +107,7 @@ fn make_buffers(v: Variant) -> Buffers {
         slots[i] = layout.alloc_array(bytes as u64, 8);
     }
     let params_addr = layout.alloc_array((slot::COUNT * 8) as u64, 8);
-    let mut machine = Machine::new(v.machine_ext(), 1 << 22);
+    let mut machine = layout.machine(v.machine_ext());
     for (i, addr) in slots.iter().enumerate() {
         machine
             .write_bytes(params_addr + (8 * i) as u64, &(*addr as i64).to_le_bytes())
@@ -127,7 +128,11 @@ fn make_buffers(v: Variant) -> Buffers {
         )
         .unwrap();
     machine.set_ireg(0, params_addr as i64);
-    Buffers { machine, slots }
+    Buffers {
+        layout,
+        machine,
+        slots,
+    }
 }
 
 /// Synthetic two-frame sequence: frame 1 is frame 0 shifted by (2,1) with
@@ -900,7 +905,7 @@ impl App for Mpeg2Enc {
             (bufs.slots[slot::RECON0], golden.recon0.clone(), "recon0"),
         ];
         let stream_golden = golden.stream.clone();
-        BuiltKernel::new(program, bufs.machine, move |m: &Machine| {
+        BuiltKernel::new(program, &bufs.layout, bufs.machine, move |m: &Machine| {
             let len = u64::from_le_bytes(
                 m.read_bytes(len_addr, 8)
                     .map_err(|e| e.to_string())?
@@ -1039,7 +1044,7 @@ impl App for Mpeg2Dec {
             (bufs.slots[slot::RCB1], golden.chroma[2].clone(), "cb1"),
             (bufs.slots[slot::RCR1], golden.chroma[3].clone(), "cr1"),
         ];
-        BuiltKernel::new(program, bufs.machine, move |m: &Machine| {
+        BuiltKernel::new(program, &bufs.layout, bufs.machine, move |m: &Machine| {
             for (addr, exp, name) in &checks {
                 let got = m.read_bytes(*addr, exp.len()).map_err(|e| e.to_string())?;
                 if let Some(i) = got.iter().zip(exp.iter()).position(|(a, b)| a != b) {

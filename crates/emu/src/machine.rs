@@ -66,6 +66,8 @@ impl StepObserver for NoObserver {
 #[derive(Debug, Clone)]
 pub struct Machine {
     ext: Ext,
+    /// `ext.width_bytes()`, cached: every vector op reads it.
+    width: usize,
     iregs: [i64; simdsim_isa::NUM_IREGS],
     fregs: [f64; simdsim_isa::NUM_FREGS],
     vregs: [u128; simdsim_isa::NUM_VREGS],
@@ -82,6 +84,7 @@ impl Machine {
     pub fn new(ext: Ext, mem_size: usize) -> Self {
         Self {
             ext,
+            width: ext.width_bytes(),
             iregs: [0; simdsim_isa::NUM_IREGS],
             fregs: [0.0; simdsim_isa::NUM_FREGS],
             vregs: [0; simdsim_isa::NUM_VREGS],
@@ -99,13 +102,14 @@ impl Machine {
     }
 
     /// Resets this machine to the architectural state of `src` without
-    /// reallocating the memory image (the buffer is reused when the sizes
-    /// match, which is the sweep engine's steady state).  After the call
-    /// the two machines are indistinguishable, so a worker can replay one
-    /// pristine reference machine across many cells instead of cloning a
-    /// multi-megabyte image per cell.
+    /// reallocating the memory image once its buffer has grown to fit
+    /// `src`'s (images differ in size from workload to workload).  After
+    /// the call the two machines are indistinguishable, so a worker can
+    /// replay one pristine reference machine across many cells instead of
+    /// cloning a machine per cell.
     pub fn reset_from(&mut self, src: &Machine) {
         self.ext = src.ext;
+        self.width = src.width;
         self.iregs = src.iregs;
         self.fregs = src.fregs;
         self.vregs = src.vregs;
@@ -123,7 +127,7 @@ impl Machine {
     /// SIMD register width in bytes (8 or 16).
     #[must_use]
     pub fn width(&self) -> usize {
-        self.ext.width_bytes()
+        self.width
     }
 
     /// Current vector length.
@@ -263,6 +267,8 @@ impl Machine {
             .collect())
     }
 
+    /// Loads the `len <= 8` bytes at `addr` as a zero-extended
+    /// little-endian value, copied whole from the bounds-checked slice.
     fn load_uint(&self, addr: u64, len: usize, pc: u32) -> Result<u64, EmuError> {
         let b = self
             .read_bytes(addr, len)
@@ -271,11 +277,9 @@ impl Machine {
                 size: len as u64,
                 pc,
             })?;
-        let mut v = 0u64;
-        for (i, byte) in b.iter().enumerate() {
-            v |= u64::from(*byte) << (8 * i);
-        }
-        Ok(v)
+        let mut buf = [0u8; 8];
+        buf[..len].copy_from_slice(b);
+        Ok(u64::from_le_bytes(buf))
     }
 
     fn store_uint(&mut self, addr: u64, len: usize, v: u64, pc: u32) -> Result<(), EmuError> {
@@ -288,6 +292,7 @@ impl Machine {
             })
     }
 
+    /// [`Machine::load_uint`] for the `len <= 16` bytes of a SIMD row.
     fn load_word(&self, addr: u64, len: usize, pc: u32) -> Result<u128, EmuError> {
         let b = self
             .read_bytes(addr, len)
@@ -296,11 +301,9 @@ impl Machine {
                 size: len as u64,
                 pc,
             })?;
-        let mut v = 0u128;
-        for (i, byte) in b.iter().enumerate() {
-            v |= u128::from(*byte) << (8 * i);
-        }
-        Ok(v)
+        let mut buf = [0u8; 16];
+        buf[..len].copy_from_slice(b);
+        Ok(u128::from_le_bytes(buf))
     }
 
     fn store_word(&mut self, addr: u64, len: usize, v: u128, pc: u32) -> Result<(), EmuError> {
@@ -901,5 +904,107 @@ impl Machine {
             VOp::Madd | VOp::Sad => self.width(),
             VOp::And | VOp::Or | VOp::Xor | VOp::AndNot => self.width() / 8,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const IMAGE: usize = 256;
+    const PC: u32 = 77;
+
+    /// Little-endian value of `len` bytes at `addr`, one byte at a time.
+    fn ref_load(mem: &[u8], addr: usize, len: usize) -> u128 {
+        (0..len).fold(0, |v, i| v | u128::from(mem[addr + i]) << (8 * i))
+    }
+
+    /// Writes the low `len` bytes of `v` at `addr`, one byte at a time.
+    fn ref_store(mem: &mut [u8], addr: usize, len: usize, v: u128) {
+        for i in 0..len {
+            mem[addr + i] = (v >> (8 * i)) as u8;
+        }
+    }
+
+    /// A machine whose image holds a seeded byte pattern, and a copy of it.
+    fn patterned() -> (Machine, Vec<u8>) {
+        let mut m = Machine::new(Ext::Vmmx128, IMAGE);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let image: Vec<u8> = (0..IMAGE)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        m.write_bytes(0, &image).unwrap();
+        (m, image)
+    }
+
+    fn out_of_bounds(addr: usize, len: usize) -> EmuError {
+        EmuError::OutOfBounds {
+            addr: addr as u64,
+            size: len as u64,
+            pc: PC,
+        }
+    }
+
+    #[test]
+    fn scalar_accesses_match_a_byte_by_byte_reference() {
+        let (mut m, mut image) = patterned();
+        for len in [1, 2, 4, 8] {
+            for addr in 0..=IMAGE - len {
+                let got = m.load_uint(addr as u64, len, PC).unwrap();
+                assert_eq!(u128::from(got), ref_load(&image, addr, len), "{len}@{addr}");
+                let v = got.rotate_left(29) ^ addr as u64;
+                m.store_uint(addr as u64, len, v, PC).unwrap();
+                ref_store(&mut image, addr, len, u128::from(v));
+                assert_eq!(m.mem, image, "store {len}@{addr}");
+            }
+            let past = IMAGE - len + 1;
+            assert_eq!(
+                m.load_uint(past as u64, len, PC),
+                Err(out_of_bounds(past, len))
+            );
+            assert_eq!(
+                m.store_uint(past as u64, len, 0, PC),
+                Err(out_of_bounds(past, len))
+            );
+            assert_eq!(m.mem, image, "a refused store writes nothing");
+        }
+    }
+
+    #[test]
+    fn vector_accesses_match_a_byte_by_byte_reference() {
+        let (mut m, mut image) = patterned();
+        for len in 1..=16 {
+            for addr in 0..=IMAGE - len {
+                let got = m.load_word(addr as u64, len, PC).unwrap();
+                assert_eq!(got, ref_load(&image, addr, len), "{len}@{addr}");
+                let v = got.rotate_left(61) ^ addr as u128;
+                m.store_word(addr as u64, len, v, PC).unwrap();
+                ref_store(&mut image, addr, len, v);
+                assert_eq!(m.mem, image, "store {len}@{addr}");
+            }
+            let past = IMAGE - len + 1;
+            assert_eq!(
+                m.load_word(past as u64, len, PC),
+                Err(out_of_bounds(past, len))
+            );
+            assert_eq!(
+                m.store_word(past as u64, len, 0, PC),
+                Err(out_of_bounds(past, len))
+            );
+            assert_eq!(m.mem, image, "a refused store writes nothing");
+        }
+    }
+
+    #[test]
+    fn reset_carries_the_simd_width() {
+        let mut m = Machine::new(Ext::Mmx64, 64);
+        assert_eq!(m.width(), 8);
+        m.reset_from(&Machine::new(Ext::Vmmx128, 128));
+        assert_eq!((m.ext(), m.width(), m.mem_size()), (Ext::Vmmx128, 16, 128));
     }
 }

@@ -616,17 +616,20 @@ fn color_workload(v: Variant, forward: bool) -> BuiltKernel {
     asm.halt();
     let program = asm.finish();
 
-    let mut layout = Layout::new(1 << 20);
+    let mut layout = Layout::new();
     let src_addrs: Vec<u64> = (0..3).map(|_| layout.alloc_array(NPX as u64, 1)).collect();
     let dst_addrs: Vec<u64> = (0..3).map(|_| layout.alloc_array(NPX as u64, 1)).collect();
-    let table = if forward {
+    let mut table = if forward {
         rgb_coltab(v.width())
     } else {
         ycc_coltab(v.width())
     };
+    // The matrix variants load the table as 16 rows (VL = 16) and use only
+    // the first few; zero-pad it so that load stays inside the layout.
+    table.resize(16 * v.width(), 0);
     let tab_addr = layout.alloc_array(table.len() as u64, 1);
 
-    let mut machine = Machine::new(v.machine_ext(), 1 << 20);
+    let mut machine = layout.machine(v.machine_ext());
     for (addr, data) in src_addrs.iter().zip(srcs.iter()) {
         machine.write_bytes(*addr, data).unwrap();
     }
@@ -652,7 +655,7 @@ fn color_workload(v: Variant, forward: bool) -> BuiltKernel {
         expected[2][px] = o2;
     }
 
-    BuiltKernel::new(program, machine, move |m: &Machine| {
+    BuiltKernel::new(program, &layout, machine, move |m: &Machine| {
         for (plane, (addr, exp)) in dst_addrs.iter().zip(expected.iter()).enumerate() {
             let got = m.read_bytes(*addr, NPX).map_err(|e| e.to_string())?;
             if let Some(px) = got.iter().zip(exp.iter()).position(|(a, b)| a != b) {

@@ -617,13 +617,13 @@ fn dct_workload(v: Variant, forward: bool) -> BuiltKernel {
     let program = asm.finish();
 
     let table = dct_coltab(&coef, v.width());
-    let mut layout = Layout::new(1 << 20);
+    let mut layout = Layout::new();
     let in_addr = layout.alloc_array((NBLOCKS * 128) as u64, 2);
     let out_addr = layout.alloc_array((NBLOCKS * 128) as u64, 2);
     let scratch_addr = layout.alloc(512, 16);
     let tab_addr = layout.alloc_array(table.len() as u64, 1);
 
-    let mut machine = Machine::new(v.machine_ext(), 1 << 20);
+    let mut machine = layout.machine(v.machine_ext());
     machine.write_i16s(in_addr, &input).unwrap();
     machine.write_bytes(tab_addr, &table).unwrap();
     machine.set_ireg(0, in_addr as i64);
@@ -638,7 +638,7 @@ fn dct_workload(v: Variant, forward: bool) -> BuiltKernel {
         expected[b * 64..b * 64 + 64].copy_from_slice(&out);
     }
 
-    BuiltKernel::new(program, machine, move |m: &Machine| {
+    BuiltKernel::new(program, &layout, machine, move |m: &Machine| {
         let got = m
             .read_i16s(out_addr, NBLOCKS * 64)
             .map_err(|e| e.to_string())?;

@@ -341,11 +341,11 @@ impl Kernel for LtpPar {
         asm.halt();
         let program = asm.finish();
 
-        let mut layout = Layout::new(1 << 20);
+        let mut layout = Layout::new();
         let sig_addr = layout.alloc_array(signal.len() as u64, 2);
         let out_addr = layout.alloc_array((NSEG * 2) as u64, 4);
 
-        let mut machine = Machine::new(v.machine_ext(), 1 << 20);
+        let mut machine = layout.machine(v.machine_ext());
         machine.write_i16s(sig_addr, &signal).unwrap();
         machine.set_ireg(0, sig_addr as i64);
         machine.set_ireg(1, out_addr as i64);
@@ -360,7 +360,7 @@ impl Kernel for LtpPar {
             })
             .collect();
 
-        BuiltKernel::new(program, machine, move |m: &Machine| {
+        BuiltKernel::new(program, &layout, machine, move |m: &Machine| {
             let got = m.read_i32s(out_addr, NSEG * 2).map_err(|e| e.to_string())?;
             if got == expected {
                 Ok(())
@@ -412,13 +412,13 @@ impl Kernel for LtpFilt {
         asm.halt();
         let program = asm.finish();
 
-        let mut layout = Layout::new(1 << 20);
+        let mut layout = Layout::new();
         let x_addr = layout.alloc_array(x.len() as u64, 2);
         let h_addr = layout.alloc_array(h.len() as u64, 2);
         let o_addr = layout.alloc_array(x.len() as u64, 2);
         let g_addr = layout.alloc_array(NFRAMES as u64, 2);
 
-        let mut machine = Machine::new(v.machine_ext(), 1 << 20);
+        let mut machine = layout.machine(v.machine_ext());
         machine.write_i16s(x_addr, &x).unwrap();
         machine.write_i16s(h_addr, &h).unwrap();
         machine.write_i16s(g_addr, &gains).unwrap();
@@ -436,7 +436,7 @@ impl Kernel for LtpFilt {
             expected[lo..lo + FILT_LEN].copy_from_slice(&out);
         }
 
-        BuiltKernel::new(program, machine, move |m: &Machine| {
+        BuiltKernel::new(program, &layout, machine, move |m: &Machine| {
             let got = m
                 .read_i16s(o_addr, expected.len())
                 .map_err(|e| e.to_string())?;

@@ -45,7 +45,7 @@ pub mod gsm;
 pub mod motion;
 pub mod resample;
 
-use simdsim_emu::{EmuError, Machine, NullSink, RunStats, TraceSink};
+use simdsim_emu::{EmuError, Layout, Machine, NullSink, RunStats, TraceSink};
 use simdsim_isa::{Ext, Program};
 
 /// Workload revision, part of `simdsim-sweep`'s content-addressed cache
@@ -157,6 +157,10 @@ pub struct BuiltKernel {
     pub program: Program,
     /// Machine with inputs written to memory and argument registers set.
     pub machine: Machine,
+    /// Bytes of the image the workload's [`Layout`] reserved
+    /// ([`Layout::used`]); the image is this rounded up to a
+    /// [`Layout::PAGE`].
+    pub layout_used: u64,
     checker: Checker,
 }
 
@@ -169,16 +173,19 @@ impl std::fmt::Debug for BuiltKernel {
 }
 
 impl BuiltKernel {
-    /// Packages a program, machine and checker.
+    /// Packages a program, the layout of its image, the machine built
+    /// from that layout ([`Layout::machine`]) and a checker.
     #[must_use]
     pub fn new(
         program: Program,
+        layout: &Layout,
         machine: Machine,
         checker: impl Fn(&Machine) -> Result<(), String> + Send + Sync + 'static,
     ) -> Self {
         Self {
             program,
             machine,
+            layout_used: layout.used(),
             checker: Box::new(checker),
         }
     }

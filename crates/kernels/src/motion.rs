@@ -499,12 +499,12 @@ fn block_workload(v: Variant, squared: bool) -> BuiltKernel {
     asm.halt();
     let program = asm.finish();
 
-    let mut layout = Layout::new(1 << 20);
+    let mut layout = Layout::new();
     let cur_addr = layout.alloc_array(cur.len() as u64, 1);
     let ref_addr = layout.alloc_array(refp.len() as u64, 1);
     let out_addr = layout.alloc_array(NPOS as u64, 4);
 
-    let mut machine = Machine::new(v.machine_ext(), 1 << 20);
+    let mut machine = layout.machine(v.machine_ext());
     machine.write_bytes(cur_addr, &cur).unwrap();
     machine.write_bytes(ref_addr, &refp).unwrap();
     machine.set_ireg(0, cur_addr as i64);
@@ -521,7 +521,7 @@ fn block_workload(v: Variant, squared: bool) -> BuiltKernel {
         })
         .collect();
 
-    BuiltKernel::new(program, machine, move |m: &Machine| {
+    BuiltKernel::new(program, &layout, machine, move |m: &Machine| {
         let got = m.read_i32s(out_addr, NPOS).map_err(|e| e.to_string())?;
         if got == expected {
             Ok(())
@@ -616,12 +616,12 @@ impl Kernel for Comp {
         asm.halt();
         let program = asm.finish();
 
-        let mut layout = Layout::new(1 << 20);
+        let mut layout = Layout::new();
         let a_addr = layout.alloc_array(a_plane.len() as u64, 1);
         let b_addr = layout.alloc_array(b_plane.len() as u64, 1);
         let d_addr = layout.alloc_array((STRIDE * h) as u64, 1);
 
-        let mut machine = Machine::new(v.machine_ext(), 1 << 20);
+        let mut machine = layout.machine(v.machine_ext());
         machine.write_bytes(a_addr, &a_plane).unwrap();
         machine.write_bytes(b_addr, &b_plane).unwrap();
         machine.set_ireg(0, a_addr as i64);
@@ -642,7 +642,7 @@ impl Kernel for Comp {
             }
         }
 
-        BuiltKernel::new(program, machine, move |m: &Machine| {
+        BuiltKernel::new(program, &layout, machine, move |m: &Machine| {
             let got = m
                 .read_bytes(d_addr, STRIDE * h)
                 .map_err(|e| e.to_string())?;
@@ -698,11 +698,11 @@ impl Kernel for AddBlock {
         asm.halt();
         let program = asm.finish();
 
-        let mut layout = Layout::new(1 << 20);
+        let mut layout = Layout::new();
         let d_addr = layout.alloc_array((STRIDE * 8) as u64, 1);
         let b_addr = layout.alloc_array((npos * 64) as u64, 2);
 
-        let mut machine = Machine::new(v.machine_ext(), 1 << 20);
+        let mut machine = layout.machine(v.machine_ext());
         machine.write_bytes(d_addr, &plane).unwrap();
         machine.write_i16s(b_addr, &blocks).unwrap();
         machine.set_ireg(0, d_addr as i64);
@@ -728,7 +728,7 @@ impl Kernel for AddBlock {
             }
         }
 
-        BuiltKernel::new(program, machine, move |m: &Machine| {
+        BuiltKernel::new(program, &layout, machine, move |m: &Machine| {
             let got = m
                 .read_bytes(d_addr, STRIDE * 8)
                 .map_err(|e| e.to_string())?;

@@ -441,12 +441,12 @@ impl Kernel for H2v2 {
         let program = asm.finish();
 
         let table = h2v2_coltab(v.width());
-        let mut layout = Layout::new(1 << 20);
+        let mut layout = Layout::new();
         let in_addr = layout.alloc_array(padded.len() as u64, 1);
         let out_addr = layout.alloc_array((4 * W_IN * H_IN) as u64, 1);
         let tab_addr = layout.alloc_array(table.len() as u64, 1);
 
-        let mut machine = Machine::new(v.machine_ext(), 1 << 20);
+        let mut machine = layout.machine(v.machine_ext());
         machine.write_bytes(in_addr, &padded).unwrap();
         machine.write_bytes(tab_addr, &table).unwrap();
         machine.set_ireg(0, in_addr as i64);
@@ -458,7 +458,7 @@ impl Kernel for H2v2 {
         let mut expected = vec![0u8; 4 * W_IN * H_IN];
         golden_h2v2(&padded, W_IN, H_IN, &mut expected);
 
-        BuiltKernel::new(program, machine, move |m: &Machine| {
+        BuiltKernel::new(program, &layout, machine, move |m: &Machine| {
             let got = m
                 .read_bytes(out_addr, expected.len())
                 .map_err(|e| e.to_string())?;

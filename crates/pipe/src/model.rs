@@ -14,9 +14,10 @@ use std::collections::VecDeque;
 
 const RING: usize = 1 << 14;
 
-/// Slots of the direct-mapped store-line table.  Machines in this
-/// workspace top out at 4 MiB of memory (`1 << 22` bytes), i.e. `1 << 17`
-/// 32-byte lines; doubling that leaves headroom, and larger addresses wrap
+/// Slots of the direct-mapped store-line table.  Workload images are
+/// sized to their `Layout` (at most 1.4 MiB today, the JPEG apps') and a
+/// layout refuses to pass `Layout::MAX_IMAGE` (4 MiB, `1 << 17` 32-byte
+/// lines); doubling that leaves headroom, and larger addresses wrap
 /// (aliasing only ever *delays* a load, conservatively, and stays
 /// deterministic).  Each 8-byte slot packs a store completion time (low
 /// [`STORE_TIME_BITS`]) with the epoch it was written in (high 16 bits),
@@ -832,7 +833,7 @@ thread_local! {
     /// Per-thread scratch machine behind [`simulate_decoded`], which must
     /// leave its input machine untouched: each call copies the input into
     /// this one resident image ([`Machine::reset_from`]) instead of
-    /// cloning a fresh multi-megabyte machine.
+    /// cloning a fresh machine.
     static SCRATCH: RefCell<Option<Machine>> = const { RefCell::new(None) };
 
     /// Per-thread pooled [`Pipeline`]s behind every `simulate*` entry

@@ -8,7 +8,7 @@
 //! ```
 
 use simdsim::asm::Asm;
-use simdsim::emu::{Layout, Machine};
+use simdsim::emu::Layout;
 use simdsim::kernels::data::smooth_plane;
 use simdsim::pipe::{simulate, PipeConfig};
 use simdsim_isa::{AccOp, Cond, Ext};
@@ -70,12 +70,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let mut layout = Layout::new(1 << 20);
+    let mut layout = Layout::new();
     let cur_addr = layout.alloc_array((W * H) as u64, 1);
     let ref_addr = layout.alloc_array((W * H) as u64, 1);
     let out_addr = layout.alloc_array(16, 8);
 
-    let mut machine = Machine::new(Ext::Vmmx128, 1 << 20);
+    let mut machine = layout.machine(Ext::Vmmx128);
     machine.write_bytes(cur_addr, &frame)?;
     machine.write_bytes(ref_addr, &reference)?;
     // Search around the block at (32, 24).

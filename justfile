@@ -66,7 +66,7 @@ perf *ARGS:
 # The CI perf smoke: quick-mode throughput bench; artifact must parse and
 # report non-zero aggregate MIPS.
 perf-smoke:
-    cargo run --release --locked -p simdsim-bench --bin perf -- --quick --out target/BENCH_simdsim.json
+    cargo run --release --locked -p simdsim-bench --bin perf -- --quick --jobs 1 --out target/BENCH_simdsim.json
     python3 -c "import json,sys; d=json.load(open('target/BENCH_simdsim.json')); sys.exit(0 if d['total']['mips'] > 0 else 1)"
 
 # The CI throughput gate: a fresh quick-mode perf run compared against the
@@ -75,9 +75,9 @@ perf-smoke:
 # with cycle accounting on then gates the profiler's overhead: profiled
 # core MIPS must stay above 0.9x the unprofiled run just measured.
 perf-check:
-    cargo run --release --locked -p simdsim-bench --bin perf -- --quick --out target/BENCH_simdsim.json
+    cargo run --release --locked -p simdsim-bench --bin perf -- --quick --jobs 1 --out target/BENCH_simdsim.json
     python3 scripts/check-perf-regression.py target/BENCH_simdsim.json --min-ratio 0.8
-    cargo run --release --locked -p simdsim-bench --bin perf -- --quick --profile --out target/BENCH_simdsim_profiled.json
+    cargo run --release --locked -p simdsim-bench --bin perf -- --quick --profile --jobs 1 --out target/BENCH_simdsim_profiled.json
     python3 scripts/check-perf-regression.py target/BENCH_simdsim_profiled.json target/BENCH_simdsim.json --min-ratio 0.9
 
 # Run the sweep service (e.g. `just serve`, `just serve -- --addr 0.0.0.0:9000`).

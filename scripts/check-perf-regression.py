@@ -7,6 +7,9 @@ Usage: check-perf-regression.py FRESH_BENCH_JSON [BASELINE_BENCH_JSON]
 Compares the fresh ``perf`` artifact's instruction-weighted MIPS against
 the committed ``BENCH_simdsim.json`` trajectory and exits non-zero when
 the fresh number falls below ``R`` (default 0.8) times the baseline.
+It also exits non-zero, before comparing anything, when the two
+artifacts were recorded at different worker-pool sizes (``jobs``): on a
+small host the pool size alone moves per-cell time by more than the gate.
 
 The comparison runs over the *intersection* of cell labels, so a quick
 (fig4-only) fresh run gates correctly against a full committed baseline.
@@ -23,14 +26,15 @@ import sys
 DEFAULT_MIN_RATIO = float(os.environ.get("PERF_REGRESSION_MIN_RATIO", "0.8"))
 
 
-def load_cells(path: str) -> dict:
-    """``label -> {instrs, wall_ms, simulate_ms|None}`` of one artifact."""
+def load_cells(path: str) -> tuple:
+    """``(jobs|None, label -> {instrs, wall_ms, simulate_ms|None})`` of one
+    artifact."""
     with open(path) as f:
         doc = json.load(f)
     cells = doc.get("cells")
     if not cells:
         sys.exit(f"{path}: no 'cells' section — run the perf bench first")
-    return {
+    return doc.get("jobs"), {
         c["label"]: {
             "instrs": c["instrs"],
             "wall_ms": c["wall_ms"],
@@ -60,8 +64,15 @@ def main() -> int:
         sys.exit(__doc__)
     fresh_path = paths[0]
     baseline_path = paths[1] if len(paths) > 1 else "BENCH_simdsim.json"
-    fresh = load_cells(fresh_path)
-    baseline = load_cells(baseline_path)
+    fresh_jobs, fresh = load_cells(fresh_path)
+    base_jobs, baseline = load_cells(baseline_path)
+    if fresh_jobs != base_jobs:
+        print(
+            f"[perf] {fresh_path} ran at jobs {fresh_jobs} but "
+            f"{baseline_path} at jobs {base_jobs}: not like for like; "
+            f"rerun with --jobs {base_jobs}"
+        )
+        return 1
 
     shared = sorted(set(fresh) & set(baseline))
     if not shared:
