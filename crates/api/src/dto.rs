@@ -1,7 +1,7 @@
 //! The v1 data-transfer objects.
 //!
 //! Everything the service says or accepts on the wire is one of these
-//! types; the server serializes them and [`simdsim-client`] deserializes
+//! types; the server serializes them and `simdsim-client` deserializes
 //! them, so there is exactly one definition of every field name.  The
 //! shapes are supersets of the pre-v1 hand-rolled JSON (same field names,
 //! a few additions such as [`CellResult::index`] and

@@ -5,9 +5,9 @@
 //! * **encoder** — preemphasis, autocorrelation + short-term ("LPC")
 //!   analysis and residual filtering [all scalar], then per sub-frame the
 //!   long-term-predictor lag search [vector `ltppar`], gain computation,
-//!   and RPE residual quantization [scalar];
-//! * **decoder** — RPE reconstruction [scalar], long-term filtering
-//!   [vector `ltpfilt`], short-term synthesis and deemphasis [scalar].
+//!   and RPE residual quantization \[scalar\];
+//! * **decoder** — RPE reconstruction \[scalar\], long-term filtering
+//!   [vector `ltpfilt`], short-term synthesis and deemphasis \[scalar\].
 //!
 //! As in the paper, less than ~10% of these applications vectorises, so
 //! SIMD scaling barely moves them (Figure 5's gsm panels).

@@ -2,13 +2,13 @@
 //! (`jpegdec`).
 //!
 //! Pipeline (encoder): RGB→YCC colour conversion [vector `rgb`], 2×2
-//! chroma subsampling [scalar], then per 8×8 block: level-shifted
-//! extraction [scalar], forward DCT [vector `fdct`], quantization +
-//! zigzag + RLE/DC-prediction entropy coding [scalar].
+//! chroma subsampling \[scalar\], then per 8×8 block: level-shifted
+//! extraction \[scalar\], forward DCT [vector `fdct`], quantization +
+//! zigzag + RLE/DC-prediction entropy coding \[scalar\].
 //!
-//! Pipeline (decoder): entropy decoding + dequantization [scalar],
-//! inverse DCT [vector `idct`], block insertion [scalar], chroma border
-//! padding [scalar], 2× up-sampling [vector `h2v2`], YCC→RGB [vector
+//! Pipeline (decoder): entropy decoding + dequantization \[scalar\],
+//! inverse DCT [vector `idct`], block insertion \[scalar\], chroma border
+//! padding \[scalar\], 2× up-sampling [vector `h2v2`], YCC→RGB [vector
 //! `ycc`].
 
 use crate::bitio::{

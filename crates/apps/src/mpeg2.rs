@@ -8,7 +8,7 @@
 //!   [vector `motion2`], residual transform coding [vector `fdct`], a
 //!   closed reconstruction loop [vector `idct`, `addblock`, `comp`], and
 //!   scalar mode decision / quantization / entropy coding;
-//! * **decoder** — parsing and dequantization [scalar], inverse DCT
+//! * **decoder** — parsing and dequantization \[scalar\], inverse DCT
 //!   [vector `idct`], motion-compensated prediction (averaging mode uses
 //!   [vector `comp`]), residual addition [vector `addblock`].
 //!

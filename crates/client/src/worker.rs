@@ -15,10 +15,11 @@
 //! 4. Hand the leased cells to the worker's `slots` simulation threads.
 //!    They are started once and live as long as the worker, so the
 //!    engine's per-thread pooled pipelines and decode memo stay warm
-//!    from one lease to the next.  Each slot consults the local store,
-//!    then simulates ([`simdsim_sweep::execute_cell`], one cell per
-//!    emulation: leases are not grouped by trace); the batch report
-//!    leaves the moment the last cell lands.
+//!    from one lease to the next.  Each slot resolves its cell through
+//!    the engine's own path ([`simdsim_sweep::resolve_cells`] on a
+//!    one-cell list): the local store probe, the simulation on the slot's
+//!    thread, and the store write-back.  The batch report leaves the
+//!    moment the last cell lands.
 //!
 //! Getting `unknown_worker` (404) anywhere means the coordinator evicted
 //! us (a pause longer than the liveness contract, or a coordinator
@@ -28,11 +29,10 @@
 
 use crate::{ClientError, SimdsimClient};
 use simdsim_api::{
-    CellPhases, ErrorCode, Lease, LeaseRequest, LeasedCell, RegisterRequest, ReportRequest,
-    UnitResult,
+    ErrorCode, Lease, LeaseRequest, LeasedCell, RegisterRequest, ReportRequest, UnitResult,
 };
 use simdsim_obs::{now_ms, Event};
-use simdsim_sweep::{cell_key, execute_cell, run_jobs, ResultStore, StoredCell};
+use simdsim_sweep::{resolve_cells, run_jobs, LocalExecutor, ResultStore, StoredCell};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -127,7 +127,7 @@ pub fn run_worker(cfg: &WorkerConfig, stop: &AtomicBool) -> Result<WorkerStats, 
     let slots = usize::try_from(cfg.slots.max(1)).expect("slot count fits in usize");
     with_slots(
         slots,
-        |leased| execute_one(leased, store.as_ref()),
+        |leased| resolve_leased(leased, store.as_ref()),
         |pool| {
             let mut stats = WorkerStats::default();
             while !stop.load(Ordering::Relaxed) {
@@ -325,64 +325,34 @@ fn execute_lease(
     results
 }
 
-/// Simulates (or loads) one leased cell, timing each phase: the store
-/// probe, the engine's decode/simulate split, and the store write-back.
-fn execute_one(leased: &LeasedCell, store: Option<&ResultStore>) -> UnitResult {
-    let probe = Instant::now();
-    let key = leased
-        .cell
-        .config()
-        .ok()
-        .map(|cfg| cell_key(&leased.cell, &cfg));
-    if let (Some(store), Some(key)) = (store, &key) {
-        if let Some(hit) = store.load(key) {
-            return UnitResult {
-                unit: leased.unit,
-                cached: true,
-                wall_ms: 0.0,
-                stats: Some(hit.stats),
-                error: None,
-                phases: Some(CellPhases {
-                    probe_ms: probe.elapsed().as_secs_f64() * 1e3,
-                    ..CellPhases::default()
-                }),
-            };
-        }
-    }
-    let probe_ms = probe.elapsed().as_secs_f64() * 1e3;
-    let run = execute_cell(&leased.cell);
-    let mut phases = run.phases;
-    phases.probe_ms = probe_ms;
-    match run.stats {
-        Ok(stats) => {
-            if let (Some(store), Some(key)) = (store, &key) {
-                let write = Instant::now();
-                store.save(
-                    key,
-                    &StoredCell {
-                        label: leased.cell.label(),
-                        stats: stats.clone(),
-                    },
-                );
-                phases.store_ms = write.elapsed().as_secs_f64() * 1e3;
-            }
-            UnitResult {
-                unit: leased.unit,
-                cached: false,
-                wall_ms: run.wall.as_secs_f64() * 1000.0,
-                stats: Some(stats),
-                error: None,
-                phases: Some(phases),
-            }
-        }
-        Err(e) => UnitResult {
-            unit: leased.unit,
-            cached: false,
-            wall_ms: run.wall.as_secs_f64() * 1000.0,
-            stats: None,
-            error: Some(e.message),
-            phases: Some(phases),
-        },
+/// Answers one leased cell through the engine's resolution path: the
+/// local store probe, the simulation on this slot's thread (one job runs
+/// on the calling thread, so the slot's pooled pipelines and decode memo
+/// stay warm), and the store write-back.  Workers always profile: the
+/// coordinator's aggregate CPI stack must not depend on which worker a
+/// cell landed on.
+fn resolve_leased(leased: &LeasedCell, store: Option<&ResultStore>) -> UnitResult {
+    let out = resolve_cells(
+        vec![leased.cell.clone()],
+        store,
+        true,
+        None,
+        &|_| {},
+        &LocalExecutor::new(Some(1)),
+    )
+    .pop()
+    .expect("one outcome per cell");
+    let (stats, error) = match out.stats {
+        Ok(stats) => (Some(stats), None),
+        Err(e) => (None, Some(e.message)),
+    };
+    UnitResult {
+        unit: leased.unit,
+        cached: out.cached,
+        wall_ms: out.wall.as_secs_f64() * 1e3,
+        stats,
+        error,
+        phases: Some(out.phases),
     }
 }
 
@@ -507,6 +477,73 @@ mod tests {
             1,
             "one slot served both leases on one thread"
         );
+    }
+
+    /// The engine's outcome for `cell`, from a store-less `sweep::run` of
+    /// `scenario` narrowed to that cell.
+    fn engine_outcome(
+        scenario: &simdsim_sweep::Scenario,
+        cell: &simdsim_sweep::Cell,
+    ) -> simdsim_sweep::CellOutcome {
+        let opts = simdsim_sweep::EngineOptions::default()
+            .jobs(1)
+            .filter(cell.label());
+        simdsim_sweep::run(scenario, &opts)
+            .outcomes
+            .into_iter()
+            .find(|o| o.cell == *cell)
+            .expect("the engine ran the cell")
+    }
+
+    #[test]
+    fn a_leased_cell_is_simulated_once_then_served_from_the_local_store() {
+        let dir = std::env::temp_dir().join(format!("simdsim-worker-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::new(&dir);
+        let leased = lease(0..1).cells.remove(0);
+        let expected = engine_outcome(&simdsim_sweep::catalog::fig4(), &leased.cell)
+            .stats
+            .expect("the fig4 cell simulates");
+
+        let first = resolve_leased(&leased, Some(&store));
+        assert!(!first.cached);
+        assert_eq!(first.error, None);
+        assert_eq!(first.stats.as_ref(), Some(&expected));
+        assert!(first.wall_ms > 0.0);
+        let phases = first.phases.expect("phases");
+        assert!(phases.simulate_ms > 0.0, "{phases:?}");
+        assert!(phases.store_ms > 0.0, "{phases:?}");
+
+        let second = resolve_leased(&leased, Some(&store));
+        assert!(second.cached);
+        assert_eq!(second.error, None);
+        assert_eq!(second.stats.as_ref(), Some(&expected));
+        assert_eq!(second.wall_ms, 0.0);
+        let phases = second.phases.expect("phases");
+        assert!(phases.probe_ms > 0.0, "{phases:?}");
+        assert_eq!(
+            (phases.decode_ms, phases.simulate_ms, phases.store_ms),
+            (0.0, 0.0, 0.0)
+        );
+
+        // A config the pipeline rejects fails before simulating, with the
+        // engine's own message.
+        let scenario = simdsim_sweep::catalog::fig4().override_axis("int_fus", [256]);
+        let bad = LeasedCell {
+            unit: 1,
+            cell: scenario.expand().remove(0),
+            job: None,
+            trace: None,
+        };
+        let engine = engine_outcome(&scenario, &bad.cell)
+            .stats
+            .expect_err("the engine rejects the override");
+        let result = resolve_leased(&bad, Some(&store));
+        assert!(!result.cached);
+        assert_eq!(result.stats, None);
+        assert_eq!(result.error, Some(engine.message));
+        assert_eq!(result.wall_ms, 0.0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Differential fuzzer: random well-formed programs, reference vs emulator.
 //!
 //! Programs are generated through `simdsim_asm::Asm` from a seeded
-//! [`splitmix64`] stream, so every case is reproducible from its seed
+//! splitmix64 stream ([`Rng`]), so every case is reproducible from its seed
 //! (printed on failure together with the listing).  The generator is
 //! recipe-driven: it emits an initialisation prologue (immediates,
 //! splats, memory seeding), then a body of random instructions drawn

@@ -20,7 +20,7 @@
 //!   the emulator with committed expected-state fixtures;
 //! * a differential **fuzzer** ([`fuzz_case`]) generating random
 //!   well-formed programs through `simdsim_asm::Asm`;
-//! * a static **linter** ([`lint`]) over assembled programs.
+//! * a static **linter** ([`lint()`]) over assembled programs.
 //!
 //! The `conform` binary exposes all of it on the command line
 //! (`conform run | fuzz --cases N | lint`), and `just conform` runs the

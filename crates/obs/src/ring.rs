@@ -8,7 +8,7 @@
 //! happened?".
 
 use crate::event::{now_ms, Event};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Filter for [`FlightRecorder::snapshot`]: every `Some` field must match
 /// the event exactly; `limit` keeps the newest N matches.
@@ -69,13 +69,21 @@ impl FlightRecorder {
         }
     }
 
+    /// The ring, even after a panic while it was held: every guarded
+    /// update (a sequence bump, one pop and one push, a dropped count)
+    /// leaves it valid, so a panicking recorder must not disable the
+    /// recorder for every later request.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records an event, assigning its sequence number (and timestamp, if
     /// the event carries none).  Returns the assigned sequence number.
     pub fn record(&self, mut ev: Event) -> u64 {
         if ev.ts_ms == 0 {
             ev.ts_ms = now_ms();
         }
-        let mut inner = self.inner.lock().expect("flight recorder poisoned");
+        let mut inner = self.lock();
         let seq = inner.seq;
         inner.seq += 1;
         ev.seq = seq;
@@ -91,7 +99,7 @@ impl FlightRecorder {
     /// ring has dropped to overflow since startup.
     #[must_use]
     pub fn snapshot(&self, filter: &EventFilter) -> (Vec<Event>, u64) {
-        let inner = self.inner.lock().expect("flight recorder poisoned");
+        let inner = self.lock();
         let mut events: Vec<Event> = inner
             .buf
             .iter()
@@ -121,7 +129,7 @@ impl FlightRecorder {
     /// [`FlightRecorder::snapshot`] copies every matching event).
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("flight recorder poisoned").dropped
+        self.lock().dropped
     }
 
     /// The ring capacity.
@@ -197,6 +205,31 @@ mod tests {
             limited.iter().map(|e| e.job).collect::<Vec<_>>(),
             vec![Some(5), Some(7)]
         );
+    }
+
+    #[test]
+    fn a_poisoned_ring_keeps_recording() {
+        let ring = FlightRecorder::new(2);
+        ring.record(Event::new("before"));
+        std::thread::scope(|s| {
+            let panicked = s
+                .spawn(|| {
+                    let _held = ring.lock();
+                    panic!("panic while holding the ring");
+                })
+                .join();
+            assert!(panicked.is_err());
+        });
+        assert!(ring.inner.is_poisoned());
+        assert_eq!(ring.record(Event::new("after")), 1);
+        assert_eq!(ring.record(Event::new("last")), 2);
+        let (events, dropped) = ring.snapshot(&EventFilter::default());
+        assert_eq!(
+            events.iter().map(|e| e.kind.as_str()).collect::<Vec<_>>(),
+            ["after", "last"]
+        );
+        assert_eq!(dropped, 1);
+        assert_eq!(ring.dropped(), 1);
     }
 
     #[test]

@@ -900,7 +900,7 @@ impl TraceSink for FanOut<'_> {
 /// The functional run does not depend on the configuration, so a group of
 /// configurations shares one build, decode and emulation.  A lone
 /// configuration streams straight into its pipeline; several are fed
-/// through a sink that buffers [`CHUNK`] instructions and replays each
+/// through a sink that buffers `CHUNK` instructions and replays each
 /// chunk into every pipeline in turn.  Either way each pipeline sees the
 /// trace in order, so its statistics equal a run of its own.
 ///

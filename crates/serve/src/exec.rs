@@ -1,5 +1,5 @@
 //! The execution half of job handling: worker threads that drain the
-//! [`JobQueue`](crate::jobs::JobQueue) and drive each job through the
+//! [`JobQueue`] and drive each job through the
 //! sweep engine.
 //!
 //! Every job runs through the engine's

@@ -869,7 +869,7 @@ mod tests {
     use super::*;
     use simdsim_api::CellStats;
     use simdsim_isa::Ext;
-    use simdsim_sweep::{execute_cell, Cell, OverrideSet, WorkloadRef};
+    use simdsim_sweep::{resolve_cells, Cell, LocalExecutor, OverrideSet, WorkloadRef};
     use std::sync::atomic::AtomicUsize;
 
     fn task(index: usize) -> CellTask {
@@ -1196,14 +1196,22 @@ mod tests {
                     .expect("registered");
                 let Some(lease) = resp.lease else { continue };
                 for c in &lease.cells {
-                    let run = execute_cell(&c.cell);
+                    let run = resolve_cells(
+                        vec![c.cell.clone()],
+                        None,
+                        true,
+                        None,
+                        &|_| {},
+                        &LocalExecutor::new(Some(1)),
+                    )
+                    .remove(0);
                     let _ = worker_fleet.report(
                         reg.worker_id,
                         &ReportRequest {
                             lease_id: lease.lease_id,
                             results: vec![UnitResult {
                                 unit: c.unit,
-                                cached: false,
+                                cached: run.cached,
                                 wall_ms: run.wall.as_secs_f64() * 1e3,
                                 stats: run.stats.as_ref().ok().cloned(),
                                 error: run.stats.as_ref().err().map(|e| e.message.clone()),

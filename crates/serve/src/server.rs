@@ -9,10 +9,10 @@
 //! | `/v1/scenarios` | GET | `Vec<`[`ScenarioInfo`]`>`: catalog + user scenarios |
 //! | `/v1/sweeps` | GET | [`JobList`]: every known job, newest first |
 //! | `/v1/sweeps` | POST | submit a [`SweepRequest`] → `202` [`SubmitResponse`] |
-//! | `/v1/sweeps/{id}` | GET | [`SweepStatus`]: state/progress/result |
+//! | `/v1/sweeps/{id}` | GET | [`simdsim_api::SweepStatus`]: state/progress/result |
 //! | `/v1/sweeps/{id}/cells?since=N` | GET | [`CellsPage`]: long-poll cell stream |
 //! | `/v1/sweeps/{id}/profile` | GET | [`ProfileResponse`]: aggregated CPI stack |
-//! | `/v1/sweeps/{id}` | DELETE | cancel → [`SweepStatus`] (or 404/409 [`ApiError`]) |
+//! | `/v1/sweeps/{id}` | DELETE | cancel → [`simdsim_api::SweepStatus`] (or 404/409 [`ApiError`]) |
 //! | `/v1/sweeps:batch` | POST | submit many → [`BatchSubmitResponse`], typed partial failure |
 //! | `/v1/workers/register` | POST | join the fleet → [`simdsim_api::RegisterResponse`] |
 //! | `/v1/workers/{id}/heartbeat` | POST | liveness → [`simdsim_api::HeartbeatResponse`] |

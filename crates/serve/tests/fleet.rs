@@ -13,7 +13,7 @@ use simdsim_api::{
 };
 use simdsim_client::{spawn_worker, SimdsimClient, WorkerConfig};
 use simdsim_serve::{FleetConfig, Server, ServerConfig};
-use simdsim_sweep::execute_cell;
+use simdsim_sweep::{resolve_cells, LocalExecutor};
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
@@ -310,10 +310,18 @@ fn duplicate_report_is_a_stale_no_op() {
         .cells
         .iter()
         .map(|leased| {
-            let run = execute_cell(&leased.cell);
+            let run = resolve_cells(
+                vec![leased.cell.clone()],
+                None,
+                true,
+                None,
+                &|_| {},
+                &LocalExecutor::new(Some(1)),
+            )
+            .remove(0);
             UnitResult {
                 unit: leased.unit,
-                cached: false,
+                cached: run.cached,
                 wall_ms: run.wall.as_secs_f64() * 1000.0,
                 stats: Some(run.stats.expect("cell simulates")),
                 error: None,

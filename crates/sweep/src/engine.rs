@@ -3,7 +3,7 @@
 //! work-stealing pool, and reports per-cell outcomes in deterministic
 //! order.
 
-use crate::exec::{CellExecutor, CellTask, LocalExecutor};
+use crate::exec::{CellExecutor, CellTask, LocalExecutor, TaskOutcome};
 use crate::scenario::{Cell, Scenario, WorkloadRef};
 use crate::store::{cell_key, CacheKey, ResultStore, StoredCell};
 use serde::{Deserialize, Serialize};
@@ -164,9 +164,11 @@ impl EngineOptions {
 pub struct CellPhases {
     /// Content-addressed store probe (hit or miss).
     pub probe_ms: f64,
-    /// Workload build + instruction predecode (amortised across cells by
-    /// the per-thread decode memo, so often near zero, and split evenly
-    /// across the cells timed on one shared trace).
+    /// Workload build + instruction predecode, split evenly across the
+    /// cells timed on one shared trace.  The predecode is memoised per
+    /// thread, but the build (program, inputs and expected output) runs
+    /// again for every trace, so a short kernel cell spends a visible
+    /// share of its wall time here.
     pub decode_ms: f64,
     /// The pipeline simulation itself.
     pub simulate_ms: f64,
@@ -358,11 +360,10 @@ pub fn run_with_progress(
     run_with_executor(scenario, opts, progress, &local)
 }
 
-/// [`run_with_progress`] with an explicit [`CellExecutor`]: expansion,
-/// filtering, the store probe, progress reporting and report assembly stay
-/// in the engine; only the pending cells' execution is delegated.  This is
-/// the seam the serving layer uses to satisfy a job from a remote worker
-/// fleet instead of the local thread pool.
+/// [`run_with_progress`] with an explicit [`CellExecutor`]: expansion and
+/// filtering, then [`resolve_cells`].  This is the seam the serving layer
+/// uses to satisfy a job from a remote worker fleet instead of the local
+/// thread pool.
 #[must_use]
 pub fn run_with_executor(
     scenario: &Scenario,
@@ -375,7 +376,34 @@ pub fn run_with_executor(
         cells.retain(|c| c.label().contains(f.as_str()));
     }
     let store = opts.cache_dir.as_ref().map(ResultStore::new);
+    SweepReport {
+        scenario: scenario.name.clone(),
+        outcomes: resolve_cells(
+            cells,
+            store.as_ref(),
+            opts.profile,
+            opts.cancel.as_deref(),
+            progress,
+            executor,
+        ),
+    }
+}
 
+/// Resolves `cells` and returns one outcome per cell, in order: the one
+/// path from a cell to its statistics, shared by a local sweep and a fleet
+/// worker answering its lease.  Each cell's configuration is resolved and
+/// probed in `store`; the cells the store cannot serve go to `executor`,
+/// and their results are written back to `store`.  `progress` hears of
+/// every cell as it resolves.
+#[must_use]
+pub fn resolve_cells(
+    cells: Vec<Cell>,
+    store: Option<&ResultStore>,
+    profile: bool,
+    cancel: Option<&AtomicBool>,
+    progress: &(dyn Fn(ProgressEvent) + Sync),
+    executor: &dyn CellExecutor,
+) -> Vec<CellOutcome> {
     // Resolve configurations and probe the store up front, sequentially —
     // both are cheap next to a simulation.
     let preps: Vec<Prep> = cells
@@ -384,8 +412,8 @@ pub fn run_with_executor(
             Err(msg) => Prep::Failed(SweepError::new(cell, msg)),
             Ok(cfg) => {
                 let probe = Instant::now();
-                let key = store.as_ref().map(|_| cell_key(cell, &cfg));
-                if let (Some(st), Some(k)) = (&store, &key) {
+                let key = store.map(|_| cell_key(cell, &cfg));
+                if let (Some(st), Some(k)) = (store, &key) {
                     if let Some(hit) = st.load(k) {
                         return Prep::Cached {
                             stats: hit.stats,
@@ -395,7 +423,7 @@ pub fn run_with_executor(
                 }
                 Prep::Pending {
                     cfg,
-                    key: key.clone(),
+                    key,
                     probe_ms: probe.elapsed().as_secs_f64() * 1.0e3,
                 }
             }
@@ -446,7 +474,7 @@ pub fn run_with_executor(
                 index: i,
                 cell: cells[i].clone(),
                 cfg: *cfg,
-                profile: opts.profile,
+                profile,
             }),
             _ => None,
         })
@@ -455,7 +483,7 @@ pub fn run_with_executor(
     // assembly.
     type Slot = Option<(bool, Result<CellStats, SweepError>, Duration, CellPhases)>;
     let slots: Vec<Mutex<Slot>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    executor.execute(tasks, opts.cancel.as_deref(), &|out| {
+    executor.execute(tasks, cancel, &|out| {
         let probe_ms = match &preps[out.index] {
             Prep::Pending { probe_ms, .. } => *probe_ms,
             _ => 0.0,
@@ -513,7 +541,7 @@ pub fn run_with_executor(
                 // run's store: when the executor is a fleet, the
                 // coordinator's store is the shared cache tier and must
                 // absorb results workers served from their own caches.
-                if let (Some(st), Some(k), Ok(s)) = (&store, &key, &result) {
+                if let (Some(st), Some(k), Ok(s)) = (store, &key, &result) {
                     let write = Instant::now();
                     st.save(
                         k,
@@ -535,50 +563,7 @@ pub fn run_with_executor(
             phases,
         });
     }
-    SweepReport {
-        scenario: scenario.name.clone(),
-        outcomes,
-    }
-}
-
-/// The resolution of one [`execute_cell`] call: the statistics (or the
-/// per-cell failure), the total simulation wall time, and its breakdown.
-#[derive(Debug, Clone)]
-pub struct CellExecution {
-    /// The statistics, or the per-cell failure.
-    pub stats: Result<CellStats, SweepError>,
-    /// Wall-clock time of the whole execution.
-    pub wall: Duration,
-    /// Where that time went (decode vs. simulate; probe/store belong to
-    /// the caller's cache tier and stay zero here).
-    pub phases: CellPhases,
-}
-
-/// Simulates one cell end-to-end (configuration resolution included) —
-/// the entry point a remote worker process uses to execute a leased cell
-/// with the exact semantics of the in-process engine.  Workers always
-/// profile: the coordinator's aggregate CPI stack must not depend on
-/// which worker a cell landed on.
-#[must_use]
-pub fn execute_cell(cell: &Cell) -> CellExecution {
-    match cell.config() {
-        Err(msg) => CellExecution {
-            stats: Err(SweepError::new(cell, msg)),
-            wall: Duration::ZERO,
-            phases: CellPhases::default(),
-        },
-        Ok(cfg) => {
-            let task = CellTask {
-                index: 0,
-                cell: cell.clone(),
-                cfg,
-                profile: true,
-            };
-            exec_run(std::slice::from_ref(&task))
-                .pop()
-                .expect("one execution per cell")
-        }
-    }
+    outcomes
 }
 
 /// Upper bound on per-worker memoised decode tables; generous next to the
@@ -614,7 +599,7 @@ fn memo_decode(cell: &Cell, program: &simdsim_isa::Program) -> Rc<Decoded> {
 
 /// Simulates a run of cells that share one trace — the same workload,
 /// extension, instruction budget and profiling flag, each on its own
-/// resolved configuration — and returns one execution per task, in order.
+/// resolved configuration — and returns one outcome per task, in order.
 ///
 /// The workload is built, decoded and emulated once, on the machine just
 /// built for it ([`simulate_in`], through the per-thread pooled
@@ -624,7 +609,7 @@ fn memo_decode(cell: &Cell, program: &simdsim_isa::Program) -> Rc<Decoded> {
 /// equal share of the run's, so the run's cell walls sum to its wall.  A
 /// build or emulation error fails every cell with the same message, as
 /// running them one by one would.
-pub(crate) fn exec_run(tasks: &[CellTask]) -> Vec<CellExecution> {
+pub(crate) fn exec_run(tasks: &[CellTask]) -> Vec<TaskOutcome> {
     let first = &tasks[0].cell;
     let cfgs: Vec<PipeConfig> = tasks.iter().map(|t| t.cfg).collect();
     let start = Instant::now();
@@ -652,21 +637,21 @@ pub(crate) fn exec_run(tasks: &[CellTask]) -> Vec<CellExecution> {
     let n = tasks.len() as u32;
     // The first cell takes the nanoseconds an even split leaves over.
     let rest = wall - wall / n * n;
-    let stats: Vec<Result<CellStats, SweepError>> = match result {
+    let stats: Vec<Result<CellStats, String>> = match result {
         Ok(runs) => runs
             .into_iter()
             .map(|(stats, cpi)| Ok(cell_stats(&stats, cpi)))
             .collect(),
-        Err(msg) => tasks
-            .iter()
-            .map(|t| Err(SweepError::new(&t.cell, msg.clone())))
-            .collect(),
+        Err(msg) => vec![Err(msg); tasks.len()],
     };
-    stats
-        .into_iter()
+    tasks
+        .iter()
+        .zip(stats)
         .enumerate()
-        .map(|(i, stats)| CellExecution {
-            stats,
+        .map(|(i, (task, stats))| TaskOutcome {
+            index: task.index,
+            cached: false,
+            stats: stats.map_err(|msg| SweepError::new(&task.cell, msg)),
             wall: wall / n + if i == 0 { rest } else { Duration::ZERO },
             phases: CellPhases {
                 decode_ms: decode_ms / f64::from(n),

@@ -1,8 +1,8 @@
 //! The executor seam: *what* to simulate (a batch of [`CellTask`]s) is
 //! separated from *where* it runs.
 //!
-//! [`run_with_executor`](crate::engine::run_with_executor) hands the
-//! engine's pending cells to a [`CellExecutor`] and consumes
+//! [`resolve_cells`](crate::engine::resolve_cells) hands the cells the
+//! store cannot serve to a [`CellExecutor`] and consumes
 //! [`TaskOutcome`]s as they resolve.  [`LocalExecutor`] is the in-process
 //! implementation on the work-stealing pool; it times cells that share a
 //! trace on one emulation, and every cell's statistics are byte-for-byte
@@ -44,7 +44,9 @@ pub struct TaskOutcome {
     pub cached: bool,
     /// The statistics, or the per-cell failure.
     pub stats: Result<CellStats, SweepError>,
-    /// Wall-clock simulation time (zero for cached and failed cells).
+    /// Wall-clock simulation time: zero for cached cells and for cells
+    /// that never ran (cancelled, or their job panicked); a cell whose
+    /// build or emulation failed keeps its share of the run's time.
     pub wall: Duration,
     /// Breakdown of where the executor spent that time (a remote
     /// executor reports the worker-measured phases here).
@@ -70,7 +72,7 @@ pub trait CellExecutor: Sync {
 /// The in-process executor: cells run on the crate's work-stealing pool
 /// with per-job panic isolation.  Cells that share a trace (the same
 /// workload, extension, instruction budget and profiling flag) are
-/// grouped in expansion order and each run of at most [`FAN_WIDTH`] of
+/// grouped in expansion order and each run of at most `FAN_WIDTH` of
 /// them is one job: the workload is built, decoded and emulated once and
 /// timed on every cell's configuration.  Runs are narrowed when there
 /// would be fewer of them than pool workers.
@@ -158,14 +160,8 @@ impl CellExecutor for LocalExecutor {
                 }
                 return;
             }
-            for (task, exec) in run.iter().zip(exec_run(run)) {
-                done(TaskOutcome {
-                    index: task.index,
-                    cached: false,
-                    stats: exec.stats,
-                    wall: exec.wall,
-                    phases: exec.phases,
-                });
+            for out in exec_run(run) {
+                done(out);
             }
         });
         // A panicked job never reached its `done` calls; resolve its cells
@@ -183,7 +179,6 @@ impl CellExecutor for LocalExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::execute_cell;
     use crate::scenario::{OverrideSet, WorkloadRef};
     use simdsim_isa::Ext;
     use std::sync::atomic::AtomicUsize;
@@ -296,7 +291,8 @@ mod tests {
     /// Every cell of a failing trace fails with the message the cell gets
     /// when it runs alone.
     fn assert_run_fails_as_alone(tasks: Vec<CellTask>) {
-        let alone = execute_cell(&tasks[0].cell)
+        let alone = exec_run(&tasks[..1])
+            .remove(0)
             .stats
             .expect_err("the cell fails alone");
         let cells: Vec<String> = tasks.iter().map(|t| t.cell.label()).collect();

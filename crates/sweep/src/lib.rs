@@ -48,9 +48,8 @@ pub mod scheduler;
 pub mod store;
 
 pub use engine::{
-    execute_cell, run, run_with_executor, run_with_progress, CellExecution, CellOutcome,
-    CellPhases, CellStats, EngineOptions, ProgressEvent, SweepError, SweepReport,
-    CANCELLED_CELL_MESSAGE,
+    resolve_cells, run, run_with_executor, run_with_progress, CellOutcome, CellPhases, CellStats,
+    EngineOptions, ProgressEvent, SweepError, SweepReport, CANCELLED_CELL_MESSAGE,
 };
 pub use exec::{CellExecutor, CellTask, LocalExecutor, TaskOutcome};
 pub use scenario::{Cell, OverrideSet, Param, Scenario, WorkloadRef, DEFAULT_INSTR_LIMIT};

@@ -2,7 +2,7 @@
 //! outcomes regardless of worker count, and per-cell failure isolation.
 
 use simdsim_isa::Ext;
-use simdsim_sweep::{execute_cell, run, EngineOptions, Scenario};
+use simdsim_sweep::{resolve_cells, run, EngineOptions, LocalExecutor, Scenario};
 use std::path::PathBuf;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -113,7 +113,15 @@ fn out_of_range_override_fails_its_cell_instead_of_hanging() {
             assert_eq!(o.wall, std::time::Duration::ZERO, "{label} never ran");
         }
     }
-    let worker = execute_cell(&scenario.expand()[0]);
+    let worker = resolve_cells(
+        vec![scenario.expand().remove(0)],
+        None,
+        true,
+        None,
+        &|_| {},
+        &LocalExecutor::new(Some(1)),
+    )
+    .remove(0);
     assert!(worker
         .stats
         .expect_err("rejected")
