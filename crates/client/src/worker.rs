@@ -14,7 +14,7 @@
 //!    heartbeats once per interval.
 //! 4. Hand the leased cells to the worker's `slots` simulation threads.
 //!    They are started once and live as long as the worker, so the
-//!    engine's per-thread pooled pipelines and decode memo stay warm
+//!    engine's per-thread pooled pipelines and prepared workloads stay warm
 //!    from one lease to the next.  Each slot resolves its cell through
 //!    the engine's own path ([`simdsim_sweep::resolve_cells`] on a
 //!    one-cell list): the local store probe, the simulation on the slot's
@@ -327,8 +327,8 @@ fn execute_lease(
 
 /// Answers one leased cell through the engine's resolution path: the
 /// local store probe, the simulation on this slot's thread (one job runs
-/// on the calling thread, so the slot's pooled pipelines and decode memo
-/// stay warm), and the store write-back.  Workers always profile: the
+/// on the calling thread, so the slot's pooled pipelines and prepared
+/// workloads stay warm), and the store write-back.  Workers always profile: the
 /// coordinator's aggregate CPI stack must not depend on which worker a
 /// cell landed on.
 fn resolve_leased(leased: &LeasedCell, store: Option<&ResultStore>) -> UnitResult {

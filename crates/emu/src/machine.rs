@@ -108,19 +108,30 @@ impl Machine {
     /// replay one pristine reference machine across many cells instead of
     /// cloning a machine per cell.
     pub fn reset_from(&mut self, src: &Machine) {
-        self.ext = src.ext;
-        self.width = src.width;
-        self.iregs = src.iregs;
-        self.fregs = src.fregs;
-        self.vregs = src.vregs;
-        self.mregs = src.mregs;
-        self.accs = src.accs;
-        self.vl = src.vl;
-        if self.mem.len() == src.mem.len() {
-            self.mem.copy_from_slice(&src.mem);
+        self.reset_from_parts(src, &src.mem);
+    }
+
+    /// [`Machine::reset_from`] with the state split in two: the registers
+    /// (extension, register files, accumulators, vector length) come from
+    /// `regs`, whose own image is ignored, and the memory image is
+    /// `image`.  This lets one copy of a memory image
+    /// ([`Machine::image`]) restore every pristine machine that was
+    /// built with identical bytes, and an empty `image` turns a copy of a
+    /// machine into a register-only snapshot.
+    pub fn reset_from_parts(&mut self, regs: &Machine, image: &[u8]) {
+        self.ext = regs.ext;
+        self.width = regs.width;
+        self.iregs = regs.iregs;
+        self.fregs = regs.fregs;
+        self.vregs = regs.vregs;
+        self.mregs = regs.mregs;
+        self.accs = regs.accs;
+        self.vl = regs.vl;
+        if self.mem.len() == image.len() {
+            self.mem.copy_from_slice(image);
         } else {
             self.mem.clear();
-            self.mem.extend_from_slice(&src.mem);
+            self.mem.extend_from_slice(image);
         }
     }
 
@@ -182,6 +193,12 @@ impl Machine {
     #[must_use]
     pub fn mem_size(&self) -> usize {
         self.mem.len()
+    }
+
+    /// The whole memory image.
+    #[must_use]
+    pub fn image(&self) -> &[u8] {
+        &self.mem
     }
 
     /// Reads `len` bytes at `addr`.
@@ -1006,5 +1023,27 @@ mod tests {
         assert_eq!(m.width(), 8);
         m.reset_from(&Machine::new(Ext::Vmmx128, 128));
         assert_eq!((m.ext(), m.width(), m.mem_size()), (Ext::Vmmx128, 16, 128));
+    }
+
+    #[test]
+    fn a_split_snapshot_restores_registers_and_image() {
+        let (mut built, image) = patterned();
+        built.set_ireg(3, -7);
+        built.set_freg(1, 2.5);
+        assert_eq!(built.image(), image);
+        let mut pristine = Machine::new(Ext::Mmx64, 16);
+        pristine.reset_from_parts(&built, &[]);
+        assert_eq!((pristine.ireg(3), pristine.mem_size()), (-7, 0));
+
+        let mut m = Machine::new(Ext::Mmx64, 16);
+        m.set_ireg(3, 99);
+        m.reset_from_parts(&pristine, &image);
+        assert_eq!((m.ireg(3), m.freg(1), m.ext()), (-7, 2.5, built.ext()));
+        assert_eq!(m.mem, image);
+        // A dirtied machine of the same image size is restored in full.
+        m.store_uint(0, 8, u64::MAX, PC).unwrap();
+        m.set_ireg(3, 1);
+        m.reset_from_parts(&pristine, &image);
+        assert_eq!((m.ireg(3), &m.mem), (-7, &image));
     }
 }

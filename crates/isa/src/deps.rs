@@ -128,12 +128,14 @@ impl Default for DefUse {
 
 impl DefUse {
     /// Registers read.
+    #[inline]
     #[must_use]
     pub fn uses(&self) -> &[RegId] {
         &self.uses[..self.n_uses as usize]
     }
 
     /// Registers written.
+    #[inline]
     #[must_use]
     pub fn defs(&self) -> &[RegId] {
         &self.defs[..self.n_defs as usize]

@@ -904,9 +904,10 @@ impl TraceSink for FanOut<'_> {
 /// chunk into every pipeline in turn.  Either way each pipeline sees the
 /// trace in order, so its statistics equal a run of its own.
 ///
-/// This is the entry point for callers that own a machine they will not
-/// reuse, such as the sweep engine running a freshly built workload; the
-/// other `simulate*` functions copy their input machine first.
+/// This is the entry point for callers whose machine may be consumed,
+/// such as the sweep engine, which restores a working machine from a
+/// pristine copy of the built workload before each run; the other
+/// `simulate*` functions copy their input machine first.
 ///
 /// # Errors
 ///

@@ -30,7 +30,7 @@ use simdsim_sweep::{
 };
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Heartbeat intervals a worker may miss before it is evicted and its
@@ -179,8 +179,14 @@ impl Fleet {
         self.cfg.heartbeat_interval * LIVENESS_INTERVALS
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FleetState> {
-        self.state.lock().expect("fleet lock")
+    /// The fleet's state, even after a panic while it was held.  The only
+    /// `expect`s under this lock check facts the same critical section
+    /// established just before (a unit or lease it has just looked up),
+    /// so no update stops half-way on a panic of its own, and one
+    /// panicking handler must not fail every later fleet request.
+    /// Condvar waits on this lock recover the same way.
+    fn lock(&self) -> MutexGuard<'_, FleetState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Registers a worker and returns its id plus the cadence contract.
@@ -276,7 +282,7 @@ impl Fleet {
             let (guard, _) = self
                 .work_cv
                 .wait_timeout(st, tick.min(deadline - now))
-                .expect("fleet lock");
+                .unwrap_or_else(PoisonError::into_inner);
             st = guard;
         }
     }
@@ -775,7 +781,10 @@ impl Fleet {
         if ready {
             return;
         }
-        let _ = self.done_cv.wait_timeout(st, timeout).expect("fleet lock");
+        let _ = self
+            .done_cv
+            .wait_timeout(st, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 
     /// Closes a finished batch.
@@ -921,6 +930,33 @@ mod tests {
             Arc::new(Metrics::default()),
             Arc::new(FlightRecorder::new(256)),
         )
+    }
+
+    #[test]
+    fn a_poisoned_fleet_lock_keeps_serving_workers() {
+        let fleet = fast_fleet(10_000, 60_000);
+        std::thread::scope(|s| {
+            let held = s.spawn(|| {
+                let _guard = fleet.state.lock();
+                panic!("a handler panics while holding the fleet lock");
+            });
+            assert!(held.join().is_err());
+        });
+        assert!(fleet.state.is_poisoned());
+        let reg = fleet.register(&RegisterRequest::default());
+        fleet.open_batch(vec![task(0)], None, None);
+        let lease = fleet
+            .lease(
+                reg.worker_id,
+                &LeaseRequest {
+                    max_cells: 8,
+                    wait_ms: 0,
+                },
+            )
+            .expect("known worker")
+            .lease
+            .expect("work available");
+        assert_eq!(lease.cells.len(), 1);
     }
 
     #[test]

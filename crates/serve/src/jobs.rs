@@ -27,8 +27,18 @@ use simdsim_api::{
 use simdsim_sweep::{fnv1a128, CpiStack, ProgressEvent, Scenario};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Locks a job's or the queue's state, even after a panic while it was
+/// held.  Every update under these locks (a field assignment, a push, a
+/// map insert or removal, an id bump) leaves the state valid at each point
+/// a panic could interrupt it, so one panicking handler must not fail
+/// every later request that touches the same job or the queue.  Condvar
+/// waits on these locks recover the same way.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// How long finished jobs stay addressable in the registry.
 #[derive(Debug, Clone, Copy)]
@@ -101,27 +111,27 @@ impl Job {
     /// The job's current state.
     #[must_use]
     pub fn state(&self) -> JobState {
-        self.inner.lock().expect("job lock").state
+        lock(&self.inner).state
     }
 
     /// The job's live progress counters.
     #[must_use]
     pub fn progress(&self) -> Progress {
-        self.inner.lock().expect("job lock").progress
+        lock(&self.inner).progress
     }
 
     /// The finished job's result (`None` until terminal; stays `None`
     /// for jobs cancelled while queued).
     #[must_use]
     pub fn result(&self) -> Option<SweepResult> {
-        self.inner.lock().expect("job lock").result.clone()
+        lock(&self.inner).result.clone()
     }
 
     /// The full status document, reported under `requested_id` (an alias
     /// id observes the shared run under its own id).
     #[must_use]
     pub fn status(&self, requested_id: u64) -> SweepStatus {
-        let inner = self.inner.lock().expect("job lock");
+        let inner = lock(&self.inner);
         SweepStatus {
             id: requested_id,
             scenario: self.scenario.name.clone(),
@@ -135,7 +145,7 @@ impl Job {
     /// The listing row, reported under `requested_id`.
     #[must_use]
     pub fn summary(&self, requested_id: u64) -> JobSummary {
-        let inner = self.inner.lock().expect("job lock");
+        let inner = lock(&self.inner);
         JobSummary {
             id: requested_id,
             scenario: self.scenario.name.clone(),
@@ -151,7 +161,7 @@ impl Job {
     /// A cursor beyond the end of the stream yields an empty page.
     #[must_use]
     pub fn cells_page(&self, requested_id: u64, since: u64, wait: Duration) -> CellsPage {
-        let mut inner = self.inner.lock().expect("job lock");
+        let mut inner = lock(&self.inner);
         let deadline = Instant::now() + wait;
         while (inner.cells.len() as u64) <= since && !inner.state.is_terminal() {
             let now = Instant::now();
@@ -161,7 +171,7 @@ impl Job {
             let (guard, _) = self
                 .cells_cv
                 .wait_timeout(inner, deadline - now)
-                .expect("job lock");
+                .unwrap_or_else(PoisonError::into_inner);
             inner = guard;
         }
         let len = inner.cells.len();
@@ -185,7 +195,7 @@ impl Job {
     /// job reads "no data yet" rather than an all-zero aggregate.
     #[must_use]
     pub fn profile_aggregate(&self) -> (Option<CpiStack>, u64, u64) {
-        let inner = self.inner.lock().expect("job lock");
+        let inner = lock(&self.inner);
         let stack = (inner.profile_cells > 0).then_some(inner.profile);
         (stack, inner.profile_cells, inner.profile_missing)
     }
@@ -196,16 +206,12 @@ impl Job {
 
     /// Age of the job's terminal state, `None` while live.
     fn finished_age(&self) -> Option<Duration> {
-        self.inner
-            .lock()
-            .expect("job lock")
-            .finished_at
-            .map(|t| t.elapsed())
+        lock(&self.inner).finished_at.map(|t| t.elapsed())
     }
 
     /// Attempts the queued→running transition for the executor.
     pub(crate) fn start(&self) -> StartOutcome {
-        let mut inner = self.inner.lock().expect("job lock");
+        let mut inner = lock(&self.inner);
         if inner.state == JobState::Cancelled {
             return StartOutcome::AlreadyTerminal;
         }
@@ -226,7 +232,7 @@ impl Job {
     /// appends to the `?since=` cell stream.
     pub(crate) fn publish_cell(&self, ev: &ProgressEvent) {
         let cell = CellResult::from_progress(ev);
-        let mut inner = self.inner.lock().expect("job lock");
+        let mut inner = lock(&self.inner);
         match ev.stats.as_ref().map(|s| s.profile.as_ref()) {
             Some(Some(stack)) => {
                 inner.profile.merge(stack);
@@ -251,7 +257,7 @@ impl Job {
     /// streamer.  `total` is the authoritative cell count (a zero-cell
     /// sweep never fires a progress event, so progress mirrors it here).
     pub(crate) fn finish(&self, state: JobState, total: u64, result: SweepResult) {
-        let mut inner = self.inner.lock().expect("job lock");
+        let mut inner = lock(&self.inner);
         inner.state = state;
         inner.progress.total = total;
         inner.progress.completed = total;
@@ -383,7 +389,7 @@ impl JobQueue {
     /// Queued (not yet running) jobs.
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.state.lock().expect("queue lock").queue.len()
+        lock(&self.state).queue.len()
     }
 
     /// Enqueues a sweep and returns its submission, coalescing onto an
@@ -401,7 +407,7 @@ impl JobQueue {
         trace: Option<String>,
     ) -> Result<Submission, QueueFull> {
         let key = coalesce_key(&scenario, filter.as_deref());
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = lock(&self.state);
 
         // Coalesce: an identical submission rides an in-flight job.  The
         // key compare comes first so the per-job state lock is only taken
@@ -505,9 +511,7 @@ impl JobQueue {
     /// was individually cancelled (a detached coalesced submission).
     #[must_use]
     pub fn lookup(&self, id: u64) -> Option<(Arc<Job>, bool)> {
-        self.state
-            .lock()
-            .expect("queue lock")
+        lock(&self.state)
             .jobs
             .get(&id)
             .map(|r| (Arc::clone(&r.job), r.cancelled))
@@ -530,9 +534,7 @@ impl JobQueue {
     /// Every known `(id, job, id_cancelled)` triple, newest id first.
     #[must_use]
     pub fn list(&self) -> Vec<(u64, Arc<Job>, bool)> {
-        self.state
-            .lock()
-            .expect("queue lock")
+        lock(&self.state)
             .jobs
             .iter()
             .rev()
@@ -549,7 +551,7 @@ impl JobQueue {
     /// Returns `None` for unknown ids.
     #[must_use]
     pub fn cancel(&self, id: u64) -> Option<(Arc<Job>, CancelOutcome)> {
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = lock(&self.state);
         let entry = st.jobs.get(&id)?;
         if entry.cancelled {
             let job = Arc::clone(&entry.job);
@@ -575,7 +577,7 @@ impl JobQueue {
         // Last live observer: stop the run itself.  The job's own state
         // carries the cancellation from here, so the id entry stays
         // undetached and keeps reporting the run's (partial) result.
-        let mut inner = job.inner.lock().expect("job lock");
+        let mut inner = lock(&job.inner);
         let outcome = match inner.state {
             JobState::Queued => {
                 job.cancel.store(true, Ordering::Relaxed);
@@ -602,7 +604,7 @@ impl JobQueue {
     /// Blocks until a job is available or the queue shuts down (`None`).
     #[must_use]
     pub fn pop_blocking(&self) -> Option<Arc<Job>> {
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = lock(&self.state);
         loop {
             if self.shutdown.load(Ordering::Acquire) {
                 return None;
@@ -615,7 +617,10 @@ impl JobQueue {
                 }
                 return Some(job);
             }
-            st = self.available.wait(st).expect("queue lock");
+            st = self
+                .available
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -624,7 +629,7 @@ impl JobQueue {
         // Flag and notify under the state lock: a worker between its
         // shutdown check and its `wait` would otherwise miss this
         // notification and sleep forever (the classic lost wake-up).
-        let _guard = self.state.lock().expect("queue lock");
+        let _guard = lock(&self.state);
         self.shutdown.store(true, Ordering::Release);
         self.available.notify_all();
     }
@@ -848,6 +853,45 @@ mod tests {
         assert_eq!(page.cells.len(), 1);
         assert!(page.done);
         assert_eq!(page.next, 1);
+    }
+
+    /// Panics on a thread of its own while holding `m`, poisoning it.
+    fn poison<T: Send>(m: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let held = s.spawn(|| {
+                let _guard = m.lock();
+                panic!("a handler panics while holding the lock");
+            });
+            assert!(held.join().is_err());
+        });
+        assert!(m.is_poisoned());
+    }
+
+    #[test]
+    fn a_poisoned_queue_lock_still_runs_the_next_sweep() {
+        let q = Arc::new(JobQueue::new(4));
+        poison(&q.state);
+        let workers = spawn_workers(1, &q, &ExecContext::default());
+        let scenario = Scenario::new("after-poison", "one cell")
+            .kernels(["idct"])
+            .exts([simdsim_isa::Ext::Mmx64])
+            .ways([2]);
+        let sub = q.submit(scenario, None, None).expect("fits");
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while !sub.job.finished() && Instant::now() < deadline {
+            let _ = sub.job.cells_page(sub.id, 1, Duration::from_millis(100));
+        }
+        assert_eq!(sub.job.state(), JobState::Done);
+        assert_eq!(sub.job.result().expect("result").cells.len(), 1);
+
+        // A poisoned job lock still serves the finished job's status.
+        poison(&sub.job.inner);
+        let status = q.status_for(sub.id).expect("retained");
+        assert_eq!(status.state, JobState::Done);
+        q.shut_down();
+        for w in workers {
+            w.join().expect("worker exits");
+        }
     }
 
     #[test]

@@ -4,16 +4,14 @@
 //! order.
 
 use crate::exec::{CellExecutor, CellTask, LocalExecutor, TaskOutcome};
-use crate::scenario::{Cell, Scenario, WorkloadRef};
+use crate::prepared::with_prepared;
+use crate::scenario::{Cell, Scenario};
 use crate::store::{cell_key, CacheKey, ResultStore, StoredCell};
 use serde::{Deserialize, Serialize};
-use simdsim_isa::{ClassCounts, Decoded};
+use simdsim_isa::ClassCounts;
 use simdsim_mem::{CacheStats, MemTimingStats};
 use simdsim_pipe::{simulate_in, CpiStack, PipeConfig, PipeStats};
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -164,11 +162,12 @@ impl EngineOptions {
 pub struct CellPhases {
     /// Content-addressed store probe (hit or miss).
     pub probe_ms: f64,
-    /// Workload build + instruction predecode, split evenly across the
-    /// cells timed on one shared trace.  The predecode is memoised per
-    /// thread, but the build (program, inputs and expected output) runs
-    /// again for every trace, so a short kernel cell spends a visible
-    /// share of its wall time here.
+    /// Workload preparation, split evenly across the cells timed on one
+    /// shared trace: restoring a machine from the worker thread's
+    /// pristine copy of the built workload, or, the first time the thread
+    /// sees the (workload, extension) pair, the build (program, inputs and
+    /// expected output) and instruction predecode.  Workloads whose image
+    /// is too large to keep (the applications') are built for every run.
     pub decode_ms: f64,
     /// The pipeline simulation itself.
     pub simulate_ms: f64,
@@ -566,72 +565,36 @@ pub fn resolve_cells(
     outcomes
 }
 
-/// Upper bound on per-worker memoised decode tables; generous next to the
-/// catalog's `workloads × exts` (well under 100), but a hard stop against
-/// unbounded growth in a long-lived server fed pathological user
-/// scenarios.
-const DECODE_MEMO_CAP: usize = 512;
-
-thread_local! {
-    /// Per-worker `(workload, ext) → Decoded` memo.  Workload builds are
-    /// deterministic, so every cell sharing a workload/extension pair
-    /// shares one predecoded table instead of rebuilding it per
-    /// `simulate` call.
-    static DECODE_MEMO: RefCell<HashMap<String, Rc<Decoded>>> = RefCell::new(HashMap::new());
-}
-
-/// The memoised decode table for `cell`'s workload, computing (and
-/// caching) it from `program` on first sight of the workload/extension
-/// pair on this thread.
-fn memo_decode(cell: &Cell, program: &simdsim_isa::Program) -> Rc<Decoded> {
-    let key = match &cell.workload {
-        WorkloadRef::Kernel(n) => format!("kernel/{n}/{}", cell.ext),
-        WorkloadRef::App(n) => format!("app/{n}/{}", cell.ext),
-    };
-    DECODE_MEMO.with(|m| {
-        let mut memo = m.borrow_mut();
-        if memo.len() >= DECODE_MEMO_CAP {
-            memo.clear();
-        }
-        Rc::clone(memo.entry(key).or_insert_with(|| Rc::new(program.decode())))
-    })
-}
-
 /// Simulates a run of cells that share one trace — the same workload,
 /// extension, instruction budget and profiling flag, each on its own
 /// resolved configuration — and returns one outcome per task, in order.
 ///
-/// The workload is built, decoded and emulated once, on the machine just
-/// built for it ([`simulate_in`], through the per-thread pooled
-/// pipelines, with no copy of the memory image), and the trace is timed
-/// on every task's configuration.  Each cell's wall time (workload build
-/// included — it is part of the cost a cache hit saves) and phases are an
-/// equal share of the run's, so the run's cell walls sum to its wall.  A
-/// build or emulation error fails every cell with the same message, as
-/// running them one by one would.
+/// The workload is emulated once and the trace is timed on every task's
+/// configuration ([`simulate_in`], through the per-thread pooled
+/// pipelines).  The emulation runs on a machine restored from this
+/// thread's pristine copy of the built workload, with its memoised decode
+/// table; the workload is built only the first time the thread sees its
+/// (workload, extension) pair, or for every run when its image is too
+/// large to keep.  Each cell's wall time (workload preparation included —
+/// it is part of the cost a cache hit saves) and phases are an equal share
+/// of the run's, so the run's cell walls sum to its wall.  A build or
+/// emulation error fails every cell with the same message, as running
+/// them one by one would.
 pub(crate) fn exec_run(tasks: &[CellTask]) -> Vec<TaskOutcome> {
     let first = &tasks[0].cell;
     let cfgs: Vec<PipeConfig> = tasks.iter().map(|t| t.cfg).collect();
     let start = Instant::now();
     let mut decode_ms = 0.0;
     let mut simulate_ms = 0.0;
-    let result = (|| {
-        let decode = Instant::now();
-        let mut built = first.workload.build(first.ext)?;
-        let dec = memo_decode(first, &built.program);
-        decode_ms = decode.elapsed().as_secs_f64() * 1.0e3;
+    let result = with_prepared(first, |dec, machine| {
+        decode_ms = start.elapsed().as_secs_f64() * 1.0e3;
         let simulate = Instant::now();
-        let (_, runs) = simulate_in(
-            &mut built.machine,
-            &dec,
-            &cfgs,
-            first.instr_limit,
-            tasks[0].profile,
-        )
-        .map_err(|e| e.to_string())?;
+        let (_, runs) = simulate_in(machine, dec, &cfgs, first.instr_limit, tasks[0].profile)
+            .map_err(|e| e.to_string())?;
         simulate_ms = simulate.elapsed().as_secs_f64() * 1.0e3;
-        Ok::<_, String>(runs)
-    })();
+        Ok(runs)
+    })
+    .flatten();
     let wall = start.elapsed();
 
     let n = tasks.len() as u32;

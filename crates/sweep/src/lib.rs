@@ -43,6 +43,7 @@
 pub mod catalog;
 pub mod engine;
 pub mod exec;
+mod prepared;
 pub mod scenario;
 pub mod scheduler;
 pub mod store;

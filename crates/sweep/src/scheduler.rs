@@ -40,9 +40,10 @@ pub fn default_workers() -> usize {
 /// `workers` is clamped to `1..=items.len()`, so the pool is always
 /// bounded and never larger than the work.  A single worker is the
 /// calling thread itself: spawning one thread per call would rebuild its
-/// thread-local caches (the pooled pipeline, the decode memo) every call,
-/// and under glibc a thread started while the previous one still frees
-/// its caches gets a second malloc arena, which holds its memory.
+/// thread-local caches (the pooled pipeline, the prepared workloads)
+/// every call, and under glibc a thread started while the previous one
+/// still frees its caches gets a second malloc arena, which holds its
+/// memory.
 pub fn run_jobs<T, R>(
     items: &[T],
     workers: usize,

@@ -47,6 +47,16 @@ sweep-smoke:
     cargo run --release -p simdsim-bench --bin sweep -- --filter ablate --jobs 2 > /tmp/simdsim-sweep-ablate.txt
     grep -q 'cached$' /tmp/simdsim-sweep-ablate.txt
     ! grep -v -e '^==' -e '^$' /tmp/simdsim-sweep-ablate.txt | grep -qv 'cached$'
+    # The prepared-workload memo leaks no state into timing: 1 job (every
+    # run after a kernel's first restores a pristine build) prints the
+    # same cycles and instructions as 2 jobs.
+    for f in fig4 ablate; do \
+        cargo run --release -p simdsim-bench --bin sweep -- --filter $f --no-cache --jobs 1 > /tmp/simdsim-memo-$f-1.txt; \
+        cargo run --release -p simdsim-bench --bin sweep -- --filter $f --no-cache --jobs 2 > /tmp/simdsim-memo-$f-2.txt; \
+        grep -v -e '^==' -e '^$' /tmp/simdsim-memo-$f-1.txt | awk '{print $1, $2, $3}' > /tmp/simdsim-memo-$f-1.cols; \
+        grep -v -e '^==' -e '^$' /tmp/simdsim-memo-$f-2.txt | awk '{print $1, $2, $3}' > /tmp/simdsim-memo-$f-2.cols; \
+        diff /tmp/simdsim-memo-$f-1.cols /tmp/simdsim-memo-$f-2.cols || exit 1; \
+    done
 
 # Run the declared benchmark (the BENCHMARK.json command) on one workload:
 # `just simbench kernel_cells`, or `just simbench fig5_apps 1 25 1` for a
